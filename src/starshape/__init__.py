@@ -14,6 +14,7 @@ from .gin import (
     GinResult,
     compute_gin,
     gin_degree,
+    hf_symbolic,
     verify_green,
 )
 from .invariants import (
@@ -41,7 +42,6 @@ from .scheme import (
     StarConfiguration,
     build_star,
     conditions_matrix,
-    hf_symbolic,
     load_points,
     symbolic_basis,
 )

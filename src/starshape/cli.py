@@ -138,11 +138,18 @@ def _svg_for_report(report: InvariantReport) -> str:
     return staircase_svg(scaled(shape_of(last), last.m), report.expected)
 
 
+def _check_svg(args, n: int, parser) -> None:
+    """Reject --svg before any computation or file write: SVG is n = 2 only."""
+    if args.svg_path and n != 2:
+        parser.error(f"--svg is only available in dimension 2, not {n}")
+
+
 def _cmd_star(args, parser) -> int:
     if args.n < 1 or args.s < args.n:
         parser.error("need --s >= --n >= 1")
     if args.m < 1:
         parser.error("--m must be at least 1")
+    _check_svg(args, args.n, parser)
     cache = _cache_from(args)
     star_seed = SeededRng(mix64(args.seed)).derive(1).next_u64()
     gin_seed = SeededRng(args.seed).derive(2).next_u64()
@@ -165,8 +172,6 @@ def _cmd_star(args, parser) -> int:
     if args.csv_path:
         _write(args.csv_path, points_csv(sh))
     if args.svg_path:
-        if args.n != 2:
-            parser.error("--svg is only available for --n 2")
         _write(args.svg_path, staircase_svg(sh, AxisSimplex.star(args.n, args.s)))
     return 0
 
@@ -176,6 +181,7 @@ def _cmd_verify(args, parser) -> int:
         parser.error("need --s >= --n >= 1")
     if args.m_max < args.n:
         parser.error("--m-max must be at least --n (vertex hits need m = n)")
+    _check_svg(args, args.n, parser)
     report = verify_theorem(
         args.n,
         args.s,
@@ -191,8 +197,6 @@ def _cmd_verify(args, parser) -> int:
     if args.csv_path:
         _write(args.csv_path, _report_csv(report))
     if args.svg_path:
-        if args.n != 2:
-            parser.error("--svg is only available for --n 2")
         _write(args.svg_path, _svg_for_report(report))
     return 0 if report.all_pass() else 1
 
@@ -210,12 +214,15 @@ def _cmd_custom(args, parser) -> int:
     if args.m_max < 1:
         parser.error("--m-max must be at least 1")
     base = _resolve_points(args.points, parser)
+    _check_svg(args, base.dim, parser)
     expect = None
     if args.expect_vertices:
         try:
             expect = [parse_rational(v) for v in args.expect_vertices.split(",")]
         except (ValueError, ZeroDivisionError) as exc:
             parser.error(f"bad --expect-vertices: {exc}")
+        if len(expect) != base.dim:
+            parser.error(f"--expect-vertices needs {base.dim} values, one per axis")
     report = custom_report(
         base,
         args.m_max,
@@ -230,8 +237,6 @@ def _cmd_custom(args, parser) -> int:
     if args.csv_path:
         _write(args.csv_path, _report_csv(report))
     if args.svg_path:
-        if report.n != 2:
-            parser.error("--svg is only available for dimension-2 schemes")
         _write(args.svg_path, _svg_for_report(report))
     return 0 if report.all_pass() else 1
 

@@ -17,11 +17,20 @@ of generators found in lower degrees) are provably leading monomials and
 are deleted up front, which keeps the matrices near the size of the scheme
 length.
 
+The answer is exact over Q.  Each degree first runs the pivot profile mod a
+prime p (linalg.MODULUS).  Rows independent mod p are independent over Q,
+so a zero kernel mod p settles the degree exactly: it has no new generator.
+Every other degree runs the exact fraction-free elimination over Q, and
+only that elimination produces generators.
+
 Genericity of the random coordinate change is certified operationally: the
 whole computation runs under two independently seeded changes and must
 agree, and every result is checked to be Borel-fixed, to avoid the last
 variable, to reproduce the Hilbert function degree by degree, and to have
-the predicted finite colength.  Any failure triggers a redraw.
+the predicted finite colength.  Any failure triggers a redraw.  The second
+change is a witness, not part of the answer: in each degree with new
+generators its pivot profile is computed mod p only and must equal the
+exact profile of the first change.
 """
 
 from __future__ import annotations
@@ -32,7 +41,13 @@ import os
 import tempfile
 from dataclasses import dataclass
 from .errors import GenericityError
-from .linalg import RatMatrix, echelon_int, format_rational, random_invertible_matrix
+from .linalg import (
+    RatMatrix,
+    echelon_int,
+    format_rational,
+    free_columns_mod_p,
+    random_invertible_matrix,
+)
 from .monomial import (
     Exponents,
     MonomialIdeal,
@@ -44,6 +59,7 @@ from .rng import SeededRng
 from .scheme import FatPointScheme, _condition_rows, transform_scheme
 
 CACHE_VERSION = 1
+GIN_SCHEMA = "starshape.gin/1"
 
 
 @dataclass(frozen=True)
@@ -97,11 +113,41 @@ def verify_green(res: GinResult) -> bool:
 def _free_columns(
     rows: list[list[int]], ncols: int
 ) -> tuple[list[int], int]:
-    """Non-pivot columns under the smallest-monomial-first scan, and rank."""
+    """Non-pivot columns under the smallest-monomial-first scan, and rank,
+    by exact elimination over Q."""
     pivots, _ = echelon_int(rows, range(ncols - 1, -1, -1), ncols)
     pivot_set = set(pivots)
     free = [j for j in range(ncols) if j not in pivot_set]
     return free, len(pivots)
+
+
+def _settled_free_columns(
+    rows: list[list[int]], ncols: int
+) -> tuple[list[int], int]:
+    """What _free_columns returns, settling a zero kernel mod p.
+
+    Independence mod p implies independence over Q, so a zero kernel mod p
+    is exact; any other degree runs the exact elimination over Q.
+    """
+    if free_columns_mod_p(rows, ncols):
+        return _free_columns(rows, ncols)
+    return [], ncols
+
+
+def hf_symbolic(sch: FatPointScheme, d: int) -> int:
+    """dim of the degree-d piece of the m-th symbolic power, exactly.
+
+    Zero for d < m: a nonzero form cannot vanish to order above its degree.
+    """
+    if d < 0:
+        raise ValueError("degree must be non-negative")
+    if d < sch.multiplicity:
+        return 0
+    k = sch.dim + 1
+    mons = monomials_of_degree(k, d)
+    rows = _condition_rows(sch.int_points, k, sch.multiplicity, mons, d)
+    _, rank = _settled_free_columns(rows, len(mons))
+    return dimension_of_degree(k, d) - rank
 
 
 def gin_degree(sch: FatPointScheme, d: int, g: RatMatrix) -> set[Exponents]:
@@ -155,15 +201,15 @@ def _run_pair(
             else:
                 sub = [mons[j] for j in kept]
                 rows = _condition_rows(z1, k, m, sub, d)
-                free1, rank = _free_columns(rows, len(sub))
+                free1, rank = _settled_free_columns(rows, len(sub))
                 hf_d = total - rank
                 if free1:
                     # New generators depend on the coordinate change; the
-                    # second seed must reproduce them exactly.  (A zero
-                    # kernel is change-independent, so it needs no witness.)
+                    # second seed, a witness run mod p, must reproduce them.
+                    # (A zero kernel is change-independent, so it needs no
+                    # witness.)
                     rows2 = _condition_rows(z2, k, m, sub, d)
-                    free2, _ = _free_columns(rows2, len(sub))
-                    if free1 != free2:
+                    if free_columns_mod_p(rows2, len(sub)) != free1:
                         raise GenericityError(
                             f"coordinate changes disagree in degree {d}"
                         )
@@ -275,7 +321,7 @@ def coordinate_change_for(res: GinResult, which: int = 0) -> RatMatrix:
 
 def result_to_json(res: GinResult) -> dict:
     return {
-        "schema": "starshape.gin/1",
+        "schema": GIN_SCHEMA,
         "n": res.n,
         "m": res.m,
         "bound": res.bound,
@@ -292,6 +338,8 @@ def result_to_json(res: GinResult) -> dict:
 
 
 def result_from_json(doc: dict) -> GinResult:
+    if doc["schema"] != GIN_SCHEMA:
+        raise ValueError(f"not a {GIN_SCHEMA} document")
     n = doc["n"]
     return GinResult(
         n=n,
@@ -354,8 +402,13 @@ class FileGinCache(GinCache):
         path = self._path(key)
         if not os.path.exists(path):
             return None
-        with open(path, "r", encoding="utf-8") as fh:
-            res = result_from_json(json.load(fh))
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                res = result_from_json(json.load(fh))
+        except (ValueError, KeyError, TypeError):
+            # Truncated, undecodable or schema-broken: a miss, so the caller
+            # recomputes and put() overwrites the file atomically.
+            return None
         super().put(key, res)
         return res
 

@@ -18,10 +18,10 @@ from math import comb
 from typing import Sequence
 
 from .errors import GenericityError, StarshapeError
-from .gin import GinCache, GinResult, compute_gin
+from .gin import GinCache, GinResult, compute_gin, hf_symbolic
 from .linalg import format_rational
 from .rng import SeededRng, mix64
-from .scheme import FatPointScheme, build_star, hf_symbolic
+from .scheme import FatPointScheme, build_star
 from .shape import AxisSimplex, avoids_interior, q_area_2d, scaled, shape_of
 
 

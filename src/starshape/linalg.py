@@ -185,6 +185,57 @@ def echelon_int(
     return pivots, work[:r]
 
 
+MODULUS = 1073741789  # the largest prime below 2**30
+
+
+def free_columns_mod_p(rows: Sequence[Sequence[int]], ncols: int) -> list[int]:
+    """Non-pivot columns of the integer rows reduced mod MODULUS, scanning
+    the columns from the last one to the first (ascending result).
+
+    Rows independent mod p are independent over Q, so an empty result proves
+    that the rows have full column rank over Q.  A non-empty result proves
+    nothing over Q: it is the rational pivot profile unless p divides one
+    of the minors that decide it.  Input rows are left untouched.
+
+    Each row is packed into one integer, the j-th scanned column in bits
+    [j*w, (j+1)*w), so a row operation is one big-integer multiply-add.
+    Slots stay non-negative and are reduced only when their row becomes
+    the pivot row: a slot starts below p and gains (p - b) * y < p**2 per
+    pivot, so w = 2*bits(p) + bits(ncols) + 1 bits never overflow.
+    """
+    p = MODULUS
+    w = 2 * p.bit_length() + ncols.bit_length() + 1
+    mask = (1 << w) - 1
+
+    def pack(vals) -> int:
+        x = 0
+        for v in reversed(vals):
+            x = (x << w) | v
+        return x
+
+    # The low slot of every row is always the column being scanned; rows
+    # drop it once it has been scanned.
+    work = [pack([v % p for v in reversed(r)]) for r in rows]
+    free: list[int] = []
+    for c in range(ncols - 1, -1, -1):
+        lead = [(x & mask) % p for x in work]
+        k = next((i for i, a in enumerate(lead) if a), None)
+        if k is None:
+            free.append(c)
+            work = [x >> w for x in work]
+            continue
+        x = work.pop(k) >> w
+        inv = pow(lead.pop(k), -1, p)
+        tail = []
+        for _ in range(c):
+            tail.append((x & mask) * inv % p)
+            x >>= w
+        prow = pack(tail)
+        work = [(x >> w) + (p - b) * prow if b else x >> w
+                for x, b in zip(work, lead)]
+    return free[::-1]
+
+
 def pivot_columns(mat: RatMatrix, order: Sequence[int]) -> list[int]:
     """Pivot columns of the echelon form scanning columns in `order`."""
     _check_order(order, mat.cols)

@@ -24,8 +24,8 @@ from math import comb, gcd
 from typing import Sequence
 
 from .errors import DegenerateConfigurationError, SchemeFormatError
-from .linalg import RatMatrix, echelon_int, parse_rational
-from .monomial import Exponents, dimension_of_degree, monomials_of_degree
+from .linalg import RatMatrix, parse_rational
+from .monomial import Exponents, monomials_of_degree
 from .rng import SeededRng
 
 Coords = tuple[Fraction, ...]
@@ -151,26 +151,6 @@ def conditions_matrix(sch: FatPointScheme, d: int) -> RatMatrix:
     mons = monomials_of_degree(k, d)
     rows = _condition_rows(sch.points, k, sch.multiplicity, mons, d)
     return RatMatrix.from_rows(rows)
-
-
-def _rank_int(rows: list[list[int]], ncols: int) -> int:
-    pivots, _ = echelon_int(rows, range(ncols), ncols)
-    return len(pivots)
-
-
-def hf_symbolic(sch: FatPointScheme, d: int) -> int:
-    """dim of the degree-d piece of the m-th symbolic power, exactly.
-
-    Zero for d < m: a nonzero form cannot vanish to order above its degree.
-    """
-    if d < 0:
-        raise ValueError("degree must be non-negative")
-    if d < sch.multiplicity:
-        return 0
-    k = sch.dim + 1
-    mons = monomials_of_degree(k, d)
-    rows = _condition_rows(sch.int_points, k, sch.multiplicity, mons, d)
-    return dimension_of_degree(k, d) - _rank_int(rows, len(mons))
 
 
 def symbolic_basis(sch: FatPointScheme, d: int) -> list[list[Fraction]]:

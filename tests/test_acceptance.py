@@ -15,9 +15,9 @@ from itertools import combinations
 from math import comb
 
 from starshape.cli import main as cli_main
-from starshape.gin import compute_gin, result_to_json
+from starshape.gin import compute_gin, hf_symbolic, result_to_json
 from starshape.lp import EQ, GE, LE
-from starshape.scheme import build_star, conditions_matrix, hf_symbolic
+from starshape.scheme import build_star, conditions_matrix
 from starshape.shape import (
     AxisSimplex,
     avoids_interior,

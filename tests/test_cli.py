@@ -140,3 +140,37 @@ def test_invariants_command(tmp_path):
 
 def test_unknown_command_is_usage_error():
     assert run("frobnicate") == 2
+
+
+def test_star_recovers_from_truncated_cache_file(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    argv = ["star", "--n", "2", "--s", "3", "--m", "2", "--cache", str(cache)]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    (path,) = cache.glob("*.json")
+    intact = path.read_bytes()
+    path.write_bytes(intact[:40])
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+    assert path.read_bytes() == intact
+
+
+def test_flags_rejected_before_any_output(tmp_path, monkeypatch):
+    def no_computation(*args, **kwargs):
+        raise AssertionError("flags must be checked before any computation")
+
+    for name in ("compute_gin", "verify_theorem", "custom_report"):
+        monkeypatch.setattr(f"starshape.cli.{name}", no_computation)
+    cube = tmp_path / "cube.json"
+    cube.write_text(json.dumps({"dim": 3, "points": [["1", "0", "0", "1"], ["0", "1", "0", "1"]]}))
+    out = tmp_path / "out.json"
+    svg = tmp_path / "out.svg"
+    for argv in (
+        ["star", "--n", "3", "--s", "4", "--m", "1", "--json", str(out), "--svg", str(svg)],
+        ["verify", "--n", "3", "--s", "4", "--m-max", "3", "--json", str(out), "--svg", str(svg)],
+        ["custom", "--points", str(cube), "--m-max", "1", "--json", str(out), "--svg", str(svg)],
+        ["custom", "--points", "conic", "--m-max", "1", "--json", str(out),
+         "--expect-vertices", "2,3,4"],
+    ):
+        assert run(*argv) == 2
+        assert not out.exists() and not svg.exists()

@@ -1,7 +1,9 @@
+import json
 from math import comb
 
 import pytest
 
+from starshape import gin
 from starshape.errors import GenericityError
 from starshape.gin import (
     FileGinCache,
@@ -11,14 +13,22 @@ from starshape.gin import (
     compute_gin,
     coordinate_change_for,
     gin_degree,
+    hf_symbolic,
     result_from_json,
     result_to_json,
     verify_green,
 )
-from starshape.linalg import RatMatrix, nullspace, random_invertible_matrix, rref_with_column_order
+from starshape.linalg import (
+    MODULUS,
+    RatMatrix,
+    free_columns_mod_p,
+    nullspace,
+    random_invertible_matrix,
+    rref_with_column_order,
+)
 from starshape.monomial import MonomialIdeal, monomials_of_degree
 from starshape.rng import SeededRng
-from starshape.scheme import FatPointScheme, build_star, conditions_matrix, hf_symbolic, transform_scheme
+from starshape.scheme import FatPointScheme, build_star, conditions_matrix, transform_scheme
 
 
 def same_math(a: GinResult, b: GinResult) -> bool:
@@ -289,3 +299,71 @@ def test_unsaturated_input_is_rejected_loudly():
     sch = build_star(2, 3).scheme(1)
     with pytest.raises(GenericityError):
         compute_gin(sch, seed=1, bound=2, max_retries=0)
+
+
+def test_zero_kernel_mod_p_is_settled_without_q_elimination(monkeypatch):
+    def no_q_elimination(rows, ncols):
+        raise AssertionError("a zero kernel mod p must not reach _free_columns")
+
+    monkeypatch.setattr(gin, "_free_columns", no_q_elimination)
+    assert gin._settled_free_columns([[1, 0], [3, 1]], 2) == ([], 2)
+
+
+def test_seed1_falls_back_to_q_when_p_kills_a_pivot():
+    # Column 0's only nonzero entry is p: a pivot over Q, none mod p.
+    rows = [[MODULUS, 0, 0], [0, 1, 1]]
+    assert free_columns_mod_p(rows, 3) == [0, 1]
+    assert gin._settled_free_columns(rows, 3) == ([1], 2)
+
+
+def test_witness_mismatch_raises_and_compute_gin_redraws(monkeypatch):
+    sch = build_star(2, 3).scheme(2)
+    clean = compute_gin(sch, seed=1)
+    mod_p, run_pair = gin.free_columns_mod_p, gin._run_pair
+    pairs = []
+
+    def phantom_free_column(rows, ncols):
+        # Until a second pair is drawn: seed 1 always takes the exact path,
+        # and every seed-2 witness disagrees with it.
+        free = mod_p(rows, ncols)
+        return free + [ncols] if len(pairs) <= 1 else free
+
+    def counting_run_pair(*args):
+        pairs.append(args[3])
+        return run_pair(*args)
+
+    monkeypatch.setattr(gin, "free_columns_mod_p", phantom_free_column)
+    g1, g2 = coordinate_change_for(clean, 0), coordinate_change_for(clean, 1)
+    with pytest.raises(GenericityError, match="disagree in degree 3"):
+        gin._run_pair(sch, g1, g2, clean.seeds_used, clean.bound)
+    monkeypatch.setattr(gin, "_run_pair", counting_run_pair)
+    res = compute_gin(sch, seed=1)
+    assert len(pairs) == 2 and pairs[0] == clean.seeds_used
+    assert res.seeds_used == pairs[1] != clean.seeds_used
+    assert same_math(res, clean)
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda text: text[: len(text) // 2],
+        lambda text: "",
+        lambda text: "\xff\xfe not json",
+        lambda text: json.dumps({"schema": "starshape.gin/1"}),
+        lambda text: text.replace("starshape.gin/1", "starshape.gin/0"),
+        lambda text: json.dumps([1, 2, 3]),
+        lambda text: text.replace('"generators_full": [', '"generators_full": [7, '),
+    ],
+    ids=["truncated", "empty", "not-json", "missing-keys", "wrong-schema", "not-object", "bad-generator"],
+)
+def test_broken_cache_file_is_a_miss_and_gets_rewritten(tmp_path, damage):
+    sch = build_star(2, 3).scheme(2)
+    good = compute_gin(sch, seed=1, cache=FileGinCache(str(tmp_path)))
+    (path,) = tmp_path.glob("*.json")
+    intact = path.read_bytes()
+    path.write_text(damage(intact.decode("utf-8")), encoding="utf-8")
+    res = compute_gin(sch, seed=1, cache=FileGinCache(str(tmp_path)))
+    assert res == good
+    assert path.read_bytes() == intact
+    assert not list(tmp_path.glob("*.tmp"))
+

@@ -5,9 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starshape.linalg import (
+    MODULUS,
     RatMatrix,
     clear_denominators,
+    echelon_int,
     format_rational,
+    free_columns_mod_p,
     nullspace,
     parse_rational,
     pivot_columns,
@@ -180,3 +183,43 @@ def test_random_invertible_matrix_contract():
     assert tiny.at(0, 0) != 0
     with pytest.raises(ValueError):
         random_invertible_matrix(SeededRng(5), 2, 1)
+
+
+def exact_free_columns(rows, ncols):
+    """Non-pivot columns of echelon_int's last-column-first scan over Q."""
+    pivots, _ = echelon_int([list(r) for r in rows], range(ncols - 1, -1, -1), ncols)
+    return [j for j in range(ncols) if j not in pivots]
+
+
+@st.composite
+def int_matrices(draw, entries):
+    nrows = draw(st.integers(0, 6))
+    ncols = draw(st.integers(1, 6))
+    row = st.lists(entries, min_size=ncols, max_size=ncols)
+    return draw(st.lists(row, min_size=nrows, max_size=nrows)), ncols
+
+
+@settings(max_examples=200)
+@given(int_matrices(st.integers(-9, 9)))
+def test_mod_p_profile_matches_exact_on_small_entries(matrix):
+    # Hadamard: every minor is below (9 * 6**0.5)**6 < 2**27 < MODULUS in
+    # absolute value, so p divides no entry and no nonzero minor, and the
+    # two profiles must agree.
+    rows, ncols = matrix
+    assert free_columns_mod_p(rows, ncols) == exact_free_columns(rows, ncols)
+
+
+near_multiples_of_p = st.integers(-2, 2).flatmap(
+    lambda k: st.integers(k * MODULUS - 2, k * MODULUS + 2)
+)
+
+
+@settings(max_examples=200)
+@given(int_matrices(near_multiples_of_p))
+def test_mod_p_rank_never_exceeds_exact_rank(matrix):
+    rows, ncols = matrix
+    before = [list(r) for r in rows]
+    free_p = free_columns_mod_p(rows, ncols)
+    assert rows == before  # input rows are left untouched
+    assert len(free_p) >= len(exact_free_columns(rows, ncols))
+

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starshape.errors import SchemeFormatError
+from starshape.gin import hf_symbolic
 from starshape.linalg import RatMatrix, nullspace, rank
 from starshape.monomial import monomials_of_degree
 from starshape.rng import SeededRng
@@ -15,7 +16,6 @@ from starshape.scheme import (
     FatPointScheme,
     build_star,
     conditions_matrix,
-    hf_symbolic,
     load_points,
     normalize_point,
     symbolic_basis,
