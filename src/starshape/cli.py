@@ -48,7 +48,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--coeff-bound", type=int, default=1000, dest="coeff_bound")
         p.add_argument("--json", dest="json_path", help="write a JSON report here")
         p.add_argument("--csv", dest="csv_path", help="write a CSV table here")
-        p.add_argument("--svg", dest="svg_path", help="write an SVG rendering here (n=2)")
         p.add_argument("--cache", dest="cache_dir", help="result cache directory")
         p.add_argument("--no-cache", action="store_true", dest="no_cache")
 
@@ -69,6 +68,9 @@ def _build_parser() -> argparse.ArgumentParser:
         dest="expect_vertices",
         help="comma-separated expected axis intercepts, e.g. '2,3'",
     )
+
+    for p in (p_star, p_verify, p_custom):
+        p.add_argument("--svg", dest="svg_path", help="write an SVG rendering here (n=2)")
 
     p_inv = sub.add_parser("invariants", help="per-power invariant tables only")
     common(p_inv, star_args=True)

@@ -20,8 +20,12 @@ length.
 The answer is exact over Q.  Each degree first runs the pivot profile mod a
 prime p (linalg.MODULUS).  Rows independent mod p are independent over Q,
 so a zero kernel mod p settles the degree exactly: it has no new generator.
-Every other degree runs the exact fraction-free elimination over Q, and
-only that elimination produces generators.
+In every other degree the generators are the columns free mod p, once each
+has an exact kernel certificate: an integer vector, found by p-adic lifting,
+that uses only the column and the pivots scanned before it and vanishes
+exactly on every condition row (linalg.certified_free_columns).  If any
+certificate fails, the degree runs the exact fraction-free elimination
+over Q instead (_free_columns), which is kept only as that fallback.
 
 Genericity of the random coordinate change is certified operationally: the
 whole computation runs under two independently seeded changes and must
@@ -43,6 +47,7 @@ from dataclasses import dataclass
 from .errors import GenericityError
 from .linalg import (
     RatMatrix,
+    certified_free_columns,
     echelon_int,
     format_rational,
     free_columns_mod_p,
@@ -124,14 +129,14 @@ def _free_columns(
 def _settled_free_columns(
     rows: list[list[int]], ncols: int
 ) -> tuple[list[int], int]:
-    """What _free_columns returns, settling a zero kernel mod p.
+    """What _free_columns returns, proved from the profile mod p.
 
-    Independence mod p implies independence over Q, so a zero kernel mod p
-    is exact; any other degree runs the exact elimination over Q.
+    A zero kernel mod p is exact; otherwise each free column mod p needs an
+    exact kernel certificate (linalg.certified_free_columns).  Any failure
+    runs the exact elimination over Q instead.
     """
-    if free_columns_mod_p(rows, ncols):
-        return _free_columns(rows, ncols)
-    return [], ncols
+    settled = certified_free_columns(rows, ncols)
+    return _free_columns(rows, ncols) if settled is None else settled
 
 
 def hf_symbolic(sch: FatPointScheme, d: int) -> int:
@@ -265,6 +270,15 @@ def _validate(res: GinResult, sch: FatPointScheme) -> None:
             )
 
 
+def _fits(res: GinResult, sch: FatPointScheme, bound: int) -> bool:
+    """Whether a cached result was computed for this request and has the
+    scheme's length.  Cheap checks only: the full _validate is not run on
+    cache hits."""
+    return (res.n, res.m, res.bound) == (sch.dim, sch.multiplicity, bound) and (
+        res.colength == sch.fat_point_degree()
+    )
+
+
 def compute_gin(
     sch: FatPointScheme,
     seed: int = 0,
@@ -277,12 +291,13 @@ def compute_gin(
     Runs every degree under two coordinate changes seeded independently
     from `seed` and requires identical results; redraws on disagreement or
     on any structural-invariant failure, up to max_retries pairs.
-    Deterministic given (scheme, seed, bound).
+    Deterministic given (scheme, seed, bound).  A cache hit for another
+    request or of the wrong length is recomputed and overwritten.
     """
     key = cache_key(sch, seed, bound)
     if cache is not None:
         hit = cache.get(key)
-        if hit is not None:
+        if hit is not None and _fits(hit, sch, bound):
             return hit
     k = sch.dim + 1
     master = SeededRng(seed)
@@ -341,13 +356,14 @@ def result_from_json(doc: dict) -> GinResult:
     if doc["schema"] != GIN_SCHEMA:
         raise ValueError(f"not a {GIN_SCHEMA} document")
     n = doc["n"]
+    # The artinian generators are derived, not read: the document's
+    # "generators" field is output only.
+    min_generators = MonomialIdeal(n + 1, [tuple(g) for g in doc["generators_full"]])
     return GinResult(
         n=n,
         m=doc["m"],
-        min_generators=MonomialIdeal(
-            n + 1, [tuple(g) for g in doc["generators_full"]]
-        ),
-        artinian=MonomialIdeal(n, [tuple(g) for g in doc["generators"]]),
+        min_generators=min_generators,
+        artinian=min_generators.drop_last_variable(),
         hf_table=tuple(tuple(row) for row in doc["hf_table"]),
         stop_degree=doc["stop_degree"],
         colength=int(doc["colength"]),

@@ -171,6 +171,24 @@ def test_flags_rejected_before_any_output(tmp_path, monkeypatch):
         ["custom", "--points", str(cube), "--m-max", "1", "--json", str(out), "--svg", str(svg)],
         ["custom", "--points", "conic", "--m-max", "1", "--json", str(out),
          "--expect-vertices", "2,3,4"],
+        ["invariants", "--n", "2", "--s", "3", "--m-max", "1", "--json", str(out),
+         "--svg", str(svg)],
     ):
         assert run(*argv) == 2
         assert not out.exists() and not svg.exists()
+
+
+def test_star_ignores_edited_generators_in_cache_file(tmp_path, capsys):
+    # The artinian generators printed (and t) are derived from
+    # generators_full; the document's "generators" field is output only.
+    cache = tmp_path / "cache"
+    argv = ["star", "--n", "2", "--s", "3", "--m", "2", "--cache", str(cache)]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    assert "t=[3, 4]" in first
+    (path,) = cache.glob("*.json")
+    doc = json.loads(path.read_text())
+    doc["generators"] = [[1, 0], [0, 1]]
+    path.write_text(json.dumps(doc, sort_keys=True))
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first

@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from starshape import gin
+from starshape import gin, linalg
 from starshape.errors import GenericityError
 from starshape.gin import (
     FileGinCache,
@@ -21,6 +21,7 @@ from starshape.gin import (
 from starshape.linalg import (
     MODULUS,
     RatMatrix,
+    certified_free_columns,
     free_columns_mod_p,
     nullspace,
     random_invertible_matrix,
@@ -316,6 +317,65 @@ def test_seed1_falls_back_to_q_when_p_kills_a_pivot():
     assert gin._settled_free_columns(rows, 3) == ([1], 2)
 
 
+def spy_on_q_elimination(monkeypatch):
+    calls = []
+
+    def counted(rows, ncols):
+        calls.append(ncols)
+        return exact(rows, ncols)
+
+    exact = gin._free_columns
+    monkeypatch.setattr(gin, "_free_columns", counted)
+    return calls
+
+
+def test_deciding_minor_divisible_by_p_takes_the_q_fallback(monkeypatch):
+    # Columns 2 and 1 are independent over Q, but their minor is p: mod p,
+    # column 1 is free and column 0 a pivot, the other way round over Q.
+    # The lifted kernel vector of column 1 is (-p, 1, -1), which leans on
+    # the pivot scanned after it, so the support check refuses it.
+    rows = [[1, MODULUS + 1, 1], [0, 1, 1]]
+    calls = spy_on_q_elimination(monkeypatch)
+    assert free_columns_mod_p(rows, 3) == [1]
+    assert certified_free_columns(rows, 3) is None
+    assert gin._settled_free_columns(rows, 3) == ([0], 2)
+    assert calls == [3]
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        # In the kernel, but column 0's vector uses column 1, which is no
+        # pivot mod p (and column 1's uses column 0, scanned after it).
+        [[1, -1, 0], [-1, 1, 0], [0, 0, 1]],
+        # Supported on the column alone, but not in the kernel.
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+    ],
+    ids=["support", "all-rows"],
+)
+def test_tampered_lift_is_refused_and_q_decides(monkeypatch, kernel):
+    # Every entry is 0 mod p, so mod p all three columns are free; over Q
+    # column 1 is a pivot.
+    rows = [[MODULUS, MODULUS, 0]]
+    monkeypatch.setattr(linalg, "_lift_kernel", lambda *args: kernel)
+    calls = spy_on_q_elimination(monkeypatch)
+    assert certified_free_columns(rows, 3) is None
+    assert gin._settled_free_columns(rows, 3) == ([0, 2], 1)
+    assert calls == [3]
+
+
+def test_generator_degrees_are_certified_without_q_elimination(monkeypatch):
+    sch = build_star(2, 4).scheme(3)
+    calls = spy_on_q_elimination(monkeypatch)
+    res = compute_gin(sch, seed=2)
+    assert calls == []
+    monkeypatch.undo()
+    g = coordinate_change_for(res)
+    for d in range(res.stop_degree + 1):
+        slice_d = {u for u in monomials_of_degree(3, d) if res.min_generators.contains(u)}
+        assert slice_d == gin_degree(sch, d, g)
+
+
 def test_witness_mismatch_raises_and_compute_gin_redraws(monkeypatch):
     sch = build_star(2, 3).scheme(2)
     clean = compute_gin(sch, seed=1)
@@ -353,15 +413,21 @@ def test_witness_mismatch_raises_and_compute_gin_redraws(monkeypatch):
         lambda text: text.replace("starshape.gin/1", "starshape.gin/0"),
         lambda text: json.dumps([1, 2, 3]),
         lambda text: text.replace('"generators_full": [', '"generators_full": [7, '),
+        lambda text: text.replace('"m": 2', '"m": 3'),
+        lambda text: text.replace('"bound": 1000', '"bound": 999'),
+        lambda text: text.replace('"colength": "9"', '"colength": "8"'),
     ],
-    ids=["truncated", "empty", "not-json", "missing-keys", "wrong-schema", "not-object", "bad-generator"],
+    ids=["truncated", "empty", "not-json", "missing-keys", "wrong-schema", "not-object",
+         "bad-generator", "other-m", "other-bound", "wrong-colength"],
 )
 def test_broken_cache_file_is_a_miss_and_gets_rewritten(tmp_path, damage):
     sch = build_star(2, 3).scheme(2)
     good = compute_gin(sch, seed=1, cache=FileGinCache(str(tmp_path)))
     (path,) = tmp_path.glob("*.json")
     intact = path.read_bytes()
-    path.write_text(damage(intact.decode("utf-8")), encoding="utf-8")
+    damaged = damage(intact.decode("utf-8"))
+    assert damaged.encode("utf-8") != intact
+    path.write_text(damaged, encoding="utf-8")
     res = compute_gin(sch, seed=1, cache=FileGinCache(str(tmp_path)))
     assert res == good
     assert path.read_bytes() == intact

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from starshape.linalg import (
     MODULUS,
     RatMatrix,
+    certified_free_columns,
     clear_denominators,
     echelon_int,
     format_rational,
@@ -223,3 +224,35 @@ def test_mod_p_rank_never_exceeds_exact_rank(matrix):
     assert rows == before  # input rows are left untouched
     assert len(free_p) >= len(exact_free_columns(rows, ncols))
 
+
+@st.composite
+def low_rank_matrices(draw):
+    # U (rows x k) times V (k x cols), entries in [-2, 2], k <= 3: entries
+    # stay within 12, so by Hadamard every minor is below (12 * 6**0.5)**6
+    # < MODULUS and the profile mod p is the exact one.
+    nrows = draw(st.integers(1, 6))
+    ncols = draw(st.integers(1, 6))
+    k = draw(st.integers(0, 3))
+    small = st.integers(-2, 2)
+    u = draw(st.lists(st.lists(small, min_size=k, max_size=k), min_size=nrows, max_size=nrows))
+    v = draw(st.lists(st.lists(small, min_size=ncols, max_size=ncols), min_size=k, max_size=k))
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*v)] if k else [0] * ncols
+            for row in u], ncols
+
+
+@settings(max_examples=200)
+@given(int_matrices(st.integers(-9, 9)) | low_rank_matrices())
+def test_certificate_proves_the_exact_profile(matrix):
+    rows, ncols = matrix
+    free = exact_free_columns(rows, ncols)
+    assert certified_free_columns(rows, ncols) == (free, ncols - len(free))
+
+
+@settings(max_examples=200)
+@given(int_matrices(near_multiples_of_p))
+def test_certificate_is_exact_or_refused(matrix):
+    # Here p divides many entries and minors: the mod-p profile is often
+    # wrong, and then the certificate must fail rather than confirm it.
+    rows, ncols = matrix
+    free = exact_free_columns(rows, ncols)
+    assert certified_free_columns(rows, ncols) in (None, (free, ncols - len(free)))
