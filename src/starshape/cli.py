@@ -7,7 +7,8 @@ Commands:
   invariants  per-power invariant table only
 
 Exit codes: 0 all checks passed, 1 computation or verdict failure, 2 usage
-or input error.  All commands are deterministic functions of their flags
+or input error (bad flags or a bad point file, rejected before any work or
+file write).  All commands are deterministic functions of their flags
 (given a fixed cache state or --no-cache).  The STARSHAPE_CACHE environment
 variable supplies a default cache directory.
 """
@@ -20,12 +21,17 @@ import os
 import sys
 from importlib import resources
 
-from .errors import StarshapeError
+from .errors import SchemeFormatError, StarshapeError
 from .gin import FileGinCache, GinCache, compute_gin, result_to_json
-from .invariants import InvariantReport, custom_report, verify_theorem
+from .invariants import (
+    InvariantReport,
+    custom_report,
+    gin_seed,
+    seeded_star,
+    verify_theorem,
+)
 from .linalg import format_rational, parse_rational
-from .rng import SeededRng, mix64
-from .scheme import build_star, load_points
+from .scheme import load_points
 from .shape import AxisSimplex, scaled, shape_of, staircase_svg, points_csv
 
 CACHE_ENV = "STARSHAPE_CACHE"
@@ -135,9 +141,25 @@ def _print_report(report: InvariantReport, out) -> None:
         print(f"{name}: {'pass' if report.verdicts[name] else 'FAIL'}", file=out)
 
 
-def _svg_for_report(report: InvariantReport) -> str:
-    last = report.results[-1]
-    return staircase_svg(scaled(shape_of(last), last.m), report.expected)
+def _finish(report: InvariantReport, args) -> int:
+    """Print the report, write the requested files, and give the exit code."""
+    _print_report(report, sys.stdout)
+    if args.json_path:
+        _emit_json(args.json_path, report.to_json_dict())
+    if args.csv_path:
+        _write(args.csv_path, _report_csv(report))
+    if getattr(args, "svg_path", None):
+        last = report.results[-1]
+        _write(args.svg_path, staircase_svg(scaled(shape_of(last), last.m), report.expected))
+    return 0 if report.all_pass() else 1
+
+
+def _check_common(args, parser) -> None:
+    """Checks every command shares, before any work or file write."""
+    if args.command != "custom" and not 1 <= args.n <= args.s:
+        parser.error("need --s >= --n >= 1")
+    if args.coeff_bound < 2:
+        parser.error("--coeff-bound must be at least 2")
 
 
 def _check_svg(args, n: int, parser) -> None:
@@ -147,17 +169,13 @@ def _check_svg(args, n: int, parser) -> None:
 
 
 def _cmd_star(args, parser) -> int:
-    if args.n < 1 or args.s < args.n:
-        parser.error("need --s >= --n >= 1")
     if args.m < 1:
         parser.error("--m must be at least 1")
     _check_svg(args, args.n, parser)
     cache = _cache_from(args)
-    star_seed = SeededRng(mix64(args.seed)).derive(1).next_u64()
-    gin_seed = SeededRng(args.seed).derive(2).next_u64()
-    star = build_star(args.n, args.s, mode=args.mode, seed=star_seed, bound=args.coeff_bound)
+    star = seeded_star(args.n, args.s, args.mode, args.seed, args.coeff_bound)
     res = compute_gin(
-        star.scheme(args.m), seed=gin_seed, bound=args.coeff_bound, cache=cache
+        star.scheme(args.m), seed=gin_seed(args.seed), bound=args.coeff_bound, cache=cache
     )
     doc = result_to_json(res)
     doc["mode"] = args.mode
@@ -179,8 +197,6 @@ def _cmd_star(args, parser) -> int:
 
 
 def _cmd_verify(args, parser) -> int:
-    if args.n < 1 or args.s < args.n:
-        parser.error("need --s >= --n >= 1")
     if args.m_max < args.n:
         parser.error("--m-max must be at least --n (vertex hits need m = n)")
     _check_svg(args, args.n, parser)
@@ -193,17 +209,10 @@ def _cmd_verify(args, parser) -> int:
         bound=args.coeff_bound,
         cache=_cache_from(args),
     )
-    _print_report(report, sys.stdout)
-    if args.json_path:
-        _emit_json(args.json_path, report.to_json_dict())
-    if args.csv_path:
-        _write(args.csv_path, _report_csv(report))
-    if args.svg_path:
-        _write(args.svg_path, _svg_for_report(report))
-    return 0 if report.all_pass() else 1
+    return _finish(report, args)
 
 
-def _resolve_points(value: str, parser):
+def _resolve_points(value: str):
     if value == "conic":
         with resources.as_file(
             resources.files("starshape.data").joinpath("conic.json")
@@ -215,7 +224,9 @@ def _resolve_points(value: str, parser):
 def _cmd_custom(args, parser) -> int:
     if args.m_max < 1:
         parser.error("--m-max must be at least 1")
-    base = _resolve_points(args.points, parser)
+    base = _resolve_points(args.points)
+    if base.multiplicity != 1:
+        parser.error("the points file must have multiplicity 1 (--m-max sets the powers)")
     _check_svg(args, base.dim, parser)
     expect = None
     if args.expect_vertices:
@@ -225,6 +236,8 @@ def _cmd_custom(args, parser) -> int:
             parser.error(f"bad --expect-vertices: {exc}")
         if len(expect) != base.dim:
             parser.error(f"--expect-vertices needs {base.dim} values, one per axis")
+        if any(a <= 0 for a in expect):
+            parser.error("--expect-vertices must all be positive")
     report = custom_report(
         base,
         args.m_max,
@@ -233,23 +246,13 @@ def _cmd_custom(args, parser) -> int:
         bound=args.coeff_bound,
         cache=_cache_from(args),
     )
-    _print_report(report, sys.stdout)
-    if args.json_path:
-        _emit_json(args.json_path, report.to_json_dict())
-    if args.csv_path:
-        _write(args.csv_path, _report_csv(report))
-    if args.svg_path:
-        _write(args.svg_path, _svg_for_report(report))
-    return 0 if report.all_pass() else 1
+    return _finish(report, args)
 
 
 def _cmd_invariants(args, parser) -> int:
-    if args.n < 1 or args.s < args.n:
-        parser.error("need --s >= --n >= 1")
     if args.m_max < 1:
         parser.error("--m-max must be at least 1")
-    star_seed = SeededRng(mix64(args.seed)).derive(1).next_u64()
-    star = build_star(args.n, args.s, mode=args.mode, seed=star_seed, bound=args.coeff_bound)
+    star = seeded_star(args.n, args.s, args.mode, args.seed, args.coeff_bound)
     report = custom_report(
         star.scheme(1),
         args.m_max,
@@ -258,12 +261,7 @@ def _cmd_invariants(args, parser) -> int:
         cache=_cache_from(args),
     )
     report.s = args.s
-    _print_report(report, sys.stdout)
-    if args.json_path:
-        _emit_json(args.json_path, report.to_json_dict())
-    if args.csv_path:
-        _write(args.csv_path, _report_csv(report))
-    return 0
+    return _finish(report, args)
 
 
 def main(argv=None) -> int:
@@ -279,21 +277,16 @@ def main(argv=None) -> int:
         "invariants": _cmd_invariants,
     }
     try:
+        _check_common(args, parser)
         return handlers[args.command](args, parser)
-    except SystemExit as exc:  # parser.error inside a handler
+    except SystemExit as exc:  # parser.error after parsing
         return exc.code if isinstance(exc.code, int) else 2
-    except StarshapeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1 if not _is_input_error(exc) else 2
-    except ValueError as exc:
+    except SchemeFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-def _is_input_error(exc: StarshapeError) -> bool:
-    from .errors import SchemeFormatError
-
-    return isinstance(exc, SchemeFormatError)
+    except StarshapeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -44,9 +44,10 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass
+from functools import cached_property
+
 from .errors import GenericityError
 from .linalg import (
-    RatMatrix,
     certified_free_columns,
     echelon_int,
     format_rational,
@@ -71,21 +72,25 @@ GIN_SCHEMA = "starshape.gin/1"
 class GinResult:
     """The generic initial ideal of one symbolic power.
 
-    min_generators lives in the n+1 ambient variables; artinian is the same
-    ideal read in the first n variables (valid because no minimal generator
-    involves the last one).  hf_table rows are (d, dim of the symbolic power
-    in degree d, quotient Hilbert function at d) for d = 0..stop_degree.
+    min_generators lives in the n+1 ambient variables.  hf_table rows are
+    (d, dim of the symbolic power in degree d, quotient Hilbert function at
+    d) for d = 0..stop_degree.
     """
 
     n: int
     m: int
     min_generators: MonomialIdeal
-    artinian: MonomialIdeal
     hf_table: tuple[tuple[int, int, int], ...]
     stop_degree: int
     colength: int
     seeds_used: tuple[int, int]
     bound: int
+
+    @cached_property
+    def artinian(self) -> MonomialIdeal:
+        """The same ideal read in the first n variables (valid because no
+        minimal generator involves the last one)."""
+        return self.min_generators.drop_last_variable()
 
     def t_vector(self) -> list[int]:
         """Minimal pure-power exponents t_1..t_n of the artinian reduction."""
@@ -107,12 +112,6 @@ class GinResult:
     def regularity(self) -> int:
         """Max degree of a minimal generator (= regularity, Borel-fixed case)."""
         return self.min_generators.max_generator_degree()
-
-
-def verify_green(res: GinResult) -> bool:
-    """True when no minimal generator involves the last variable (the
-    guaranteed situation for saturated ideals)."""
-    return all(g[-1] == 0 for g in res.min_generators.generators)
 
 
 def _free_columns(
@@ -139,46 +138,10 @@ def _settled_free_columns(
     return _free_columns(rows, ncols) if settled is None else settled
 
 
-def hf_symbolic(sch: FatPointScheme, d: int) -> int:
-    """dim of the degree-d piece of the m-th symbolic power, exactly.
-
-    Zero for d < m: a nonzero form cannot vanish to order above its degree.
-    """
-    if d < 0:
-        raise ValueError("degree must be non-negative")
-    if d < sch.multiplicity:
-        return 0
-    k = sch.dim + 1
-    mons = monomials_of_degree(k, d)
-    rows = _condition_rows(sch.int_points, k, sch.multiplicity, mons, d)
-    _, rank = _settled_free_columns(rows, len(mons))
-    return dimension_of_degree(k, d) - rank
-
-
-def gin_degree(sch: FatPointScheme, d: int, g: RatMatrix) -> set[Exponents]:
-    """Degree-d monomials of the generic initial ideal of the symbolic
-    power, for the coordinate change g (columns of the transformed
-    condition matrix scanned ascending; non-pivots are the leading
-    monomials of the kernel)."""
-    k = sch.dim + 1
-    if g.rows != k or g.cols != k:
-        raise ValueError("coordinate change has the wrong shape")
-    piv, _ = echelon_int(g.int_rows(), range(k), k)
-    if len(piv) != k:
-        raise ValueError("coordinate change is singular")
-    if d < sch.multiplicity:
-        return set()
-    moved = transform_scheme(sch, g)
-    mons = monomials_of_degree(k, d)
-    rows = _condition_rows(moved.int_points, k, sch.multiplicity, mons, d)
-    free, _ = _free_columns(rows, len(mons))
-    return {mons[j] for j in free}
-
-
 def _run_pair(
     sch: FatPointScheme,
-    g1: RatMatrix,
-    g2: RatMatrix,
+    g1: list[list[int]],
+    g2: list[list[int]],
     seeds: tuple[int, int],
     bound: int,
 ) -> GinResult:
@@ -239,15 +202,13 @@ def _run_pair(
     min_generators = MonomialIdeal(k, gens)
     if len(min_generators.generators) != len(gens):
         raise GenericityError("generator set failed minimality")
-    artinian = min_generators.drop_last_variable()
-    colength = artinian.colength()
+    colength = min_generators.drop_last_variable().colength()
     if colength is None:
         raise GenericityError("artinian reduction has infinite colength")
     return GinResult(
         n=n,
         m=m,
         min_generators=min_generators,
-        artinian=artinian,
         hf_table=tuple(hf_table),
         stop_degree=stop,
         colength=colength,
@@ -271,11 +232,13 @@ def _validate(res: GinResult, sch: FatPointScheme) -> None:
 
 
 def _fits(res: GinResult, sch: FatPointScheme, bound: int) -> bool:
-    """Whether a cached result was computed for this request and has the
-    scheme's length.  Cheap checks only: the full _validate is not run on
-    cache hits."""
-    return (res.n, res.m, res.bound) == (sch.dim, sch.multiplicity, bound) and (
-        res.colength == sch.fat_point_degree()
+    """Whether a cached result was computed for this request, has the
+    scheme's length and no generator in the last variable.  Cheap checks
+    only: the full _validate is not run on cache hits."""
+    return (
+        (res.n, res.m, res.bound) == (sch.dim, sch.multiplicity, bound)
+        and res.colength == sch.fat_point_degree()
+        and not any(g[-1] for g in res.min_generators.generators)
     )
 
 
@@ -322,13 +285,6 @@ def compute_gin(
     )
 
 
-def coordinate_change_for(res: GinResult, which: int = 0) -> RatMatrix:
-    """Rebuild one of the coordinate changes a result was computed with."""
-    return random_invertible_matrix(
-        SeededRng(res.seeds_used[which]), res.n + 1, res.bound
-    )
-
-
 # ---------------------------------------------------------------------------
 # Serialization and caching.  One JSON document per result; the same schema
 # is emitted by the command-line tool.
@@ -356,15 +312,13 @@ def result_from_json(doc: dict) -> GinResult:
     if doc["schema"] != GIN_SCHEMA:
         raise ValueError(f"not a {GIN_SCHEMA} document")
     n = doc["n"]
-    # The artinian generators are derived, not read: the document's
-    # "generators" field is output only.
-    min_generators = MonomialIdeal(n + 1, [tuple(g) for g in doc["generators_full"]])
+    # The document's "generators" field is output only: GinResult derives
+    # the artinian generators from generators_full.
     return GinResult(
         n=n,
         m=doc["m"],
-        min_generators=min_generators,
-        artinian=min_generators.drop_last_variable(),
-        hf_table=tuple(tuple(row) for row in doc["hf_table"]),
+        min_generators=MonomialIdeal(n + 1, [tuple(g) for g in doc["generators_full"]]),
+        hf_table=tuple((d, dim_d, q) for d, dim_d, q in doc["hf_table"]),
         stop_degree=doc["stop_degree"],
         colength=int(doc["colength"]),
         seeds_used=tuple(int(s) for s in doc["seeds_used"]),

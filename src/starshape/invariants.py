@@ -17,35 +17,27 @@ from fractions import Fraction
 from math import comb
 from typing import Sequence
 
-from .errors import GenericityError, StarshapeError
-from .gin import GinCache, GinResult, compute_gin, hf_symbolic
+from .errors import GenericityError
+from .gin import GinCache, GinResult, compute_gin
 from .linalg import format_rational
 from .rng import SeededRng, mix64
-from .scheme import FatPointScheme, build_star
+from .scheme import FatPointScheme, StarConfiguration, build_star
 from .shape import AxisSimplex, avoids_interior, q_area_2d, scaled, shape_of
 
 
-def alpha(sch: FatPointScheme) -> int:
-    """Least degree with a nonzero element of the symbolic power, computed
-    directly from ranks (no initial ideal needed)."""
-    cap = sch.multiplicity * (len(sch.points) + sch.dim) + sch.dim + 2
-    for d in range(sch.multiplicity, cap + 1):
-        if hf_symbolic(sch, d) > 0:
-            return d
-    raise StarshapeError(f"no nonzero element found up to degree {cap}")
+def seeded_star(
+    n: int, s: int, mode: str, seed: int, bound: int
+) -> StarConfiguration:
+    """The star configuration that every pipeline run with master seed
+    `seed` uses (the seeded mode draws its hyperplanes from it)."""
+    star_seed = SeededRng(mix64(seed)).derive(1).next_u64()
+    return build_star(n, s, mode=mode, seed=star_seed, bound=bound)
 
 
-def waldschmidt_estimate(
-    base: FatPointScheme, m_max: int
-) -> tuple[list[Fraction], Fraction]:
-    """Sequence alpha(I^(m))/m for m = 1..m_max and its running minimum,
-    an exact upper bound for the Waldschmidt constant."""
-    if m_max < 1:
-        raise ValueError("m_max must be at least 1")
-    ratios = [
-        Fraction(alpha(base.with_multiplicity(m)), m) for m in range(1, m_max + 1)
-    ]
-    return ratios, min(ratios)
+def gin_seed(seed: int) -> int:
+    """The compute_gin seed that every pipeline run with master seed `seed`
+    uses."""
+    return SeededRng(seed).derive(2).next_u64()
 
 
 def regularity(res: GinResult) -> int:
@@ -58,12 +50,6 @@ def regularity(res: GinResult) -> int:
             f"top generator degree {reg} is not the last-axis pure power {last}"
         )
     return reg
-
-
-def asreg_estimate(results: Sequence[GinResult]) -> tuple[list[Fraction], Fraction]:
-    """Sequence reg(I^(m))/m over computed powers and its running minimum."""
-    ratios = [Fraction(regularity(r), r.m) for r in results]
-    return ratios, min(ratios)
 
 
 @dataclass(frozen=True)
@@ -144,12 +130,42 @@ def compute_power_results(
     bound: int = 1000,
     cache: GinCache | None = None,
 ) -> list[GinResult]:
-    master = SeededRng(seed)
-    gin_seed = master.derive(2).next_u64()
     return [
-        compute_gin(base.with_multiplicity(m), seed=gin_seed, bound=bound, cache=cache)
+        compute_gin(base.with_multiplicity(m), seed=gin_seed(seed), bound=bound, cache=cache)
         for m in range(1, m_max + 1)
     ]
+
+
+def _report(
+    n: int,
+    s: int | None,
+    results: list[GinResult],
+    simplex: AxisSimplex | None,
+) -> InvariantReport:
+    """The per-power rows, the running minima and the n = 2 areas of the
+    scaled shapes, with V2 (axis bounds) and V3 (interior avoidance)
+    against simplex when one is given."""
+    rows = [_row_of(r) for r in results]
+    shapes = [scaled(shape_of(r), r.m) for r in results]
+    verdicts: dict[str, bool] = {}
+    if simplex is not None:
+        verdicts["V2"] = all(
+            Fraction(row.t[i], row.m) >= a
+            for row in rows
+            for i, a in enumerate(simplex.intercepts)
+        )
+        verdicts["V3"] = all(avoids_interior(sh, simplex) for sh in shapes)
+    return InvariantReport(
+        n=n,
+        s=s,
+        rows=rows,
+        verdicts=verdicts,
+        waldschmidt_min=min(Fraction(r.alpha, r.m) for r in rows),
+        asreg_estimate=min(Fraction(r.reg, r.m) for r in rows),
+        areas=[q_area_2d(sh) for sh in shapes] if n == 2 else None,
+        expected=simplex,
+        results=results,
+    )
 
 
 def verify_theorem(
@@ -179,44 +195,22 @@ def verify_theorem(
         raise ValueError("need s >= n >= 1")
     if m_max < n:
         raise ValueError("m_max must be at least n (vertex hits need m = n)")
-    star_seed = SeededRng(mix64(seed)).derive(1).next_u64()
-    star = build_star(n, s, mode=mode, seed=star_seed, bound=bound)
+    star = seeded_star(n, s, mode, seed, bound)
     results = compute_power_results(star.scheme(1), m_max, seed, bound, cache)
-    rows = [_row_of(r) for r in results]
     simplex = AxisSimplex.star(n, s)
-
-    v1 = all(rows[n - i].t[i - 1] == s - i + 1 for i in range(1, n + 1))
-    v2 = all(
-        Fraction(row.t[i - 1], row.m) >= simplex.intercepts[i - 1]
-        for row in rows
-        for i in range(1, n + 1)
-    )
-    v3 = all(
-        avoids_interior(scaled(shape_of(r), r.m), simplex) for r in results
-    )
-    v4 = all(row.colength == comb(s, n) * comb(n + row.m - 1, n) for row in rows)
-    verdicts = {"V1": v1, "V2": v2, "V3": v3, "V4": v4}
-    areas = None
+    report = _report(n, s, results, simplex)
+    rows = report.rows
+    report.verdicts = {
+        "V1": all(rows[n - i].t[i - 1] == s - i + 1 for i in range(1, n + 1)),
+        **report.verdicts,
+        "V4": all(row.colength == comb(s, n) * comb(n + row.m - 1, n) for row in rows),
+    }
     if n == 2:
-        areas = [q_area_2d(scaled(shape_of(r), r.m)) for r in results]
-        verdicts["V5"] = all(a >= simplex.volume for a in areas)
-
-    return InvariantReport(
-        n=n,
-        s=s,
-        rows=rows,
-        verdicts=verdicts,
-        waldschmidt_min=min(Fraction(r.alpha, r.m) for r in rows),
-        asreg_estimate=min(Fraction(r.reg, r.m) for r in rows),
-        areas=areas,
-        expected=simplex,
-        reg_above_line=[
-            row.m
-            for row in rows
-            if Fraction(row.t[-1], row.m) > simplex.intercepts[-1]
-        ],
-        results=results,
-    )
+        report.verdicts["V5"] = all(a >= simplex.volume for a in report.areas)
+    report.reg_above_line = [
+        row.m for row in rows if Fraction(row.t[-1], row.m) > simplex.intercepts[-1]
+    ]
+    return report
 
 
 def custom_report(
@@ -239,39 +233,17 @@ def custom_report(
         raise ValueError("m_max must be at least 1")
     if base.multiplicity != 1:
         raise ValueError("the base scheme must have multiplicity 1")
-    results = compute_power_results(base, m_max, seed, bound, cache)
-    rows = [_row_of(r) for r in results]
-    n = base.dim
-    verdicts: dict[str, bool] = {}
     simplex = None
     if expect_intercepts is not None:
         simplex = AxisSimplex(tuple(Fraction(a) for a in expect_intercepts))
-        if simplex.n != n:
+        if simplex.n != base.dim:
             raise ValueError("expected vertex list has the wrong length")
-        verdicts["V2"] = all(
-            Fraction(row.t[i - 1], row.m) >= simplex.intercepts[i - 1]
-            for row in rows
-            for i in range(1, n + 1)
+    results = compute_power_results(base, m_max, seed, bound, cache)
+    report = _report(base.dim, None, results, simplex)
+    if simplex is not None:
+        report.verdicts["VLIM"] = all(
+            Fraction(row.t[i], row.m) <= a + Fraction(2, row.m)
+            for row in report.rows
+            for i, a in enumerate(simplex.intercepts)
         )
-        verdicts["V3"] = all(
-            avoids_interior(scaled(shape_of(r), r.m), simplex) for r in results
-        )
-        verdicts["VLIM"] = all(
-            Fraction(row.t[i - 1], row.m) <= simplex.intercepts[i - 1] + Fraction(2, row.m)
-            for row in rows
-            for i in range(1, n + 1)
-        )
-    areas = None
-    if n == 2:
-        areas = [q_area_2d(scaled(shape_of(r), r.m)) for r in results]
-    return InvariantReport(
-        n=n,
-        s=None,
-        rows=rows,
-        verdicts=verdicts,
-        waldschmidt_min=min(Fraction(r.alpha, r.m) for r in rows),
-        asreg_estimate=min(Fraction(r.reg, r.m) for r in rows),
-        areas=areas,
-        expected=simplex,
-        results=results,
-    )
+    return report

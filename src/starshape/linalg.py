@@ -1,4 +1,4 @@
-"""Exact rational dense linear algebra.
+"""Exact integer linear algebra for the pivot profiles of condition matrices.
 
 The decision-critical computations in this package are ranks and pivot
 profiles of integer condition matrices, and every answer is exact.  A
@@ -9,31 +9,17 @@ Dixon's p-adic lifting with rational reconstruction and checked exactly
 against every row.  When the proof fails, the exact fallback is a
 fraction-free row echelon over arbitrary-precision integers
 (cross-multiplication updates with per-row gcd stripping, which subsumes
-the Bareiss divisor and keeps entries near-minimal on structured rows),
-followed by an exact rational back-substitution when a reduced form is
-requested.
-
-gmpy2 is used for the big-integer arithmetic of the echelon when
-importable; the pure-int fallback computes identical results.
+the Bareiss divisor and keeps entries near-minimal on structured rows).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .rng import SeededRng
-
-try:
-    from gmpy2 import mpz, gcd as _gcd
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    def mpz(x):  # type: ignore
-        return x
-
-    _gcd = math.gcd
 
 
 def parse_rational(s: str) -> Fraction:
@@ -53,12 +39,9 @@ def format_rational(q: Fraction | int) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def clear_denominators(row: Sequence[Fraction]) -> list[int]:
-    """Scale a rational row to a primitive integer row (gcd 1).
-
-    Row scaling preserves rank, pivot profiles, kernels and reduced
-    echelon forms, so integer rows are a safe fast path everywhere below.
-    """
+def clear_denominators(row: Sequence[Fraction | int]) -> list[int]:
+    """Scale a rational row to a primitive integer row (gcd 1), keeping its
+    signs; an integer row is divided by the gcd of its entries."""
     lcm = 1
     for x in row:
         lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
@@ -73,76 +56,12 @@ def clear_denominators(row: Sequence[Fraction]) -> list[int]:
     return ints
 
 
-@dataclass(frozen=True)
-class RatMatrix:
-    """Dense matrix of Fractions, row-major, immutable."""
-
-    rows: int
-    cols: int
-    entries: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count does not match shape")
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable]) -> "RatMatrix":
-        data = [[Fraction(x) for x in r] for r in rows]
-        nrows = len(data)
-        ncols = len(data[0]) if data else 0
-        if any(len(r) != ncols for r in data):
-            raise ValueError("ragged rows")
-        return cls(nrows, ncols, tuple(x for r in data for x in r))
-
-    @classmethod
-    def identity(cls, k: int) -> "RatMatrix":
-        return cls.from_rows(
-            [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-        )
-
-    def at(self, i: int, j: int) -> Fraction:
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> list[Fraction]:
-        return list(self.entries[i * self.cols : (i + 1) * self.cols])
-
-    def row_list(self) -> list[list[Fraction]]:
-        return [self.row(i) for i in range(self.rows)]
-
-    def int_rows(self) -> list[list[int]]:
-        return [clear_denominators(self.row(i)) for i in range(self.rows)]
-
-    def matvec(self, v: Sequence[Fraction]) -> list[Fraction]:
-        if len(v) != self.cols:
-            raise ValueError("dimension mismatch")
-        return [
-            sum((self.at(i, j) * v[j] for j in range(self.cols)), Fraction(0))
-            for i in range(self.rows)
-        ]
-
-    def matmul(self, other: "RatMatrix") -> "RatMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        out = []
-        for i in range(self.rows):
-            out.append(
-                [
-                    sum(
-                        (self.at(i, k) * other.at(k, j) for k in range(self.cols)),
-                        Fraction(0),
-                    )
-                    for j in range(other.cols)
-                ]
-            )
-        return RatMatrix.from_rows(out)
-
-
 def _strip_gcd(row: list, start_cols: Sequence[int]) -> None:
     g = 0
     for j in start_cols:
         v = row[j]
         if v:
-            g = _gcd(g, v)
+            g = math.gcd(g, v)
             if g == 1:
                 return
     if g > 1:
@@ -158,9 +77,9 @@ def echelon_int(
 
     Returns (pivot columns in scan order, echelon rows aligned with them).
     Columns outside `order` are carried along but never pivoted.  Input rows
-    are consumed (mutated).
+    are left untouched.
     """
-    work = [[mpz(x) for x in r] for r in rows]
+    work = [list(r) for r in rows]
     extras = sorted(set(range(ncols)) - set(order))
     pivots: list[int] = []
     r = 0
@@ -181,7 +100,7 @@ def echelon_int(
             b = row[c]
             if not b:
                 continue
-            row[c] = mpz(0)
+            row[c] = 0
             for j in tail:
                 row[j] = a * row[j] - b * prow[j]
             _strip_gcd(row, tail)
@@ -448,109 +367,19 @@ def certified_free_columns(
     return free, len(pivots)
 
 
-def pivot_columns(mat: RatMatrix, order: Sequence[int]) -> list[int]:
-    """Pivot columns of the echelon form scanning columns in `order`."""
-    _check_order(order, mat.cols)
-    pivots, _ = echelon_int(mat.int_rows(), order, mat.cols)
-    return pivots
-
-
-def rank(mat: RatMatrix) -> int:
-    pivots, _ = echelon_int(mat.int_rows(), range(mat.cols), mat.cols)
-    return len(pivots)
-
-
-def _check_order(order: Sequence[int], cols: int) -> None:
-    if sorted(order) != list(range(cols)):
-        raise ValueError("order must be a permutation of the column indices")
-
-
-def _back_substitute(
-    pivots: list[int], ech: list[list[int]], ncols: int
-) -> list[list[Fraction]]:
-    """Exact reduced form: pivots scaled to 1, eliminated above."""
-    rows = [[Fraction(x) for x in r] for r in ech]
-    for i in reversed(range(len(pivots))):
-        c = pivots[i]
-        inv = rows[i][c]
-        rows[i] = [x / inv for x in rows[i]]
-        for k in range(i):
-            f = rows[k][c]
-            if f:
-                rows[k] = [x - f * y for x, y in zip(rows[k], rows[i])]
-    return rows
-
-
-def rref_with_column_order(
-    mat: RatMatrix, order: Sequence[int], want_transform: bool = False
-):
-    """Reduced row echelon form with pivot selection scanning `order`.
-
-    Returns (pivot columns in scan order, reduced matrix).  With
-    want_transform=True additionally returns an invertible T with
-    T * mat == reduced (padded with zero rows to the original height).
-    """
-    _check_order(order, mat.cols)
-    if not want_transform:
-        pivots, ech = echelon_int(mat.int_rows(), order, mat.cols)
-        reduced = _back_substitute(pivots, ech, mat.cols)
-        reduced += [[Fraction(0)] * mat.cols for _ in range(mat.rows - len(reduced))]
-        return pivots, RatMatrix.from_rows(reduced) if reduced else _empty_like(mat)
-    # Transform tracking works on the original rational rows (no row
-    # scaling), augmenting with an identity block that is never pivoted.
-    n, c = mat.rows, mat.cols
-    aug = [mat.row(i) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    pivots: list[int] = []
-    r = 0
-    for col in order:
-        piv = next((i for i in range(r, n) if aug[i][col] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = aug[r][col]
-        aug[r] = [x / inv for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-        if r == n:
-            break
-    reduced = RatMatrix.from_rows([row[:c] for row in aug]) if aug else _empty_like(mat)
-    transform = RatMatrix.from_rows([row[c:] for row in aug])
-    return pivots, reduced, transform
-
-
-def _empty_like(mat: RatMatrix) -> RatMatrix:
-    return RatMatrix(mat.rows, mat.cols, tuple())
-
-
-def nullspace(mat: RatMatrix) -> list[list[Fraction]]:
-    """Exact basis of the right kernel; len == cols - rank."""
-    pivots, ech = echelon_int(mat.int_rows(), range(mat.cols), mat.cols)
-    reduced = _back_substitute(pivots, ech, mat.cols)
-    free = [j for j in range(mat.cols) if j not in set(pivots)]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * mat.cols
-        v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -reduced[i][f]
-        basis.append(v)
-    return basis
-
-
-def random_invertible_matrix(rng: SeededRng, size: int, bound: int) -> RatMatrix:
-    """Random integer matrix with entries in [-bound, bound], redrawn until
-    invertible.  Deterministic given (rng seed position, size, bound)."""
+def random_invertible_matrix(
+    rng: SeededRng, size: int, bound: int
+) -> list[list[int]]:
+    """Rows of a random integer matrix with entries in [-bound, bound],
+    redrawn until invertible.  Deterministic given (rng seed position, size,
+    bound)."""
     if bound < 2:
         raise ValueError("bound must be at least 2")
     for _ in range(100):
         rows = [
             [rng.next_int(-bound, bound) for _ in range(size)] for _ in range(size)
         ]
-        pivots, _ = echelon_int([list(r) for r in rows], range(size), size)
+        pivots, _ = echelon_int(rows, range(size), size)
         if len(pivots) == size:
-            return RatMatrix.from_rows(rows)
+            return rows
     raise RuntimeError("could not draw an invertible matrix in 100 attempts")

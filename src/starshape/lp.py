@@ -14,13 +14,6 @@ from typing import Sequence
 LE, EQ, GE = "<=", "=", ">="
 
 
-def _as_fraction_rows(A) -> list[list[Fraction]]:
-    rows = getattr(A, "row_list", None)
-    if rows is not None:
-        return A.row_list()
-    return [[Fraction(x) for x in row] for row in A]
-
-
 def lp_feasible(
     A,
     b: Sequence,
@@ -29,10 +22,10 @@ def lp_feasible(
 ) -> tuple[bool, list[Fraction] | None]:
     """Decide { x : A x (rel) b, x_j >= 0 where flagged } != empty, exactly.
 
-    A may be a RatMatrix or a sequence of rows.  Returns (feasible, witness);
-    the witness satisfies every constraint exactly.
+    A is a sequence of rows.  Returns (feasible, witness); the witness
+    satisfies every constraint exactly.
     """
-    rows = _as_fraction_rows(A)
+    rows = [[Fraction(x) for x in row] for row in A]
     rhs = [Fraction(x) for x in b]
     if not (len(rows) == len(rhs) == len(relations)):
         raise ValueError("inconsistent system dimensions")

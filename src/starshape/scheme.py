@@ -20,11 +20,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import comb, gcd
+from math import comb
 from typing import Sequence
 
 from .errors import DegenerateConfigurationError, SchemeFormatError
-from .linalg import RatMatrix, parse_rational
+from .linalg import clear_denominators, echelon_int, parse_rational
 from .monomial import Exponents, monomials_of_degree
 from .rng import SeededRng
 
@@ -42,18 +42,6 @@ def normalize_point(coords: Sequence[Fraction]) -> Coords:
     if last is None:
         raise SchemeFormatError("projective point with all coordinates zero")
     return tuple(v / last for v in vals)
-
-
-def primitive_int_coords(coords: Coords) -> tuple[int, ...]:
-    """Integer representative with gcd 1; sign fixed by the canonical form."""
-    lcm = 1
-    for c in coords:
-        lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-    ints = [c.numerator * (lcm // c.denominator) for c in coords]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    return tuple(v // g for v in ints)
 
 
 @dataclass(frozen=True)
@@ -90,7 +78,7 @@ class FatPointScheme:
 
     @cached_property
     def int_points(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(primitive_int_coords(p) for p in self.points)
+        return tuple(tuple(clear_denominators(p)) for p in self.points)
 
     def fat_point_degree(self) -> int:
         """Expected length of the scheme: points * local colength."""
@@ -134,48 +122,18 @@ def _condition_rows(
     return rows
 
 
-def conditions_matrix(sch: FatPointScheme, d: int) -> RatMatrix:
-    """Vanishing-to-order-m conditions on degree-d forms.
-
-    Columns are the degree-d monomials of the n+1 ambient variables in
-    descending reverse-lexicographic order; rows are indexed by (point,
-    derivative multi-index of order m-1); entries are the derivatives
-    evaluated at the canonical point representatives.  For d >= m-1 a form
-    lies in the m-th symbolic power exactly when its coefficient vector is
-    in the kernel (below that the derivative rows vanish identically and
-    carry no information).
-    """
-    if d < 0:
-        raise ValueError("degree must be non-negative")
-    k = sch.dim + 1
-    mons = monomials_of_degree(k, d)
-    rows = _condition_rows(sch.points, k, sch.multiplicity, mons, d)
-    return RatMatrix.from_rows(rows)
-
-
-def symbolic_basis(sch: FatPointScheme, d: int) -> list[list[Fraction]]:
-    """Exact kernel basis of the conditions matrix, in the descending
-    reverse-lexicographic column convention; length == hf_symbolic."""
-    from .linalg import nullspace
-
-    if d < 0:
-        raise ValueError("degree must be non-negative")
-    if d < sch.multiplicity:
-        return []
-    return nullspace(conditions_matrix(sch, d))
-
-
-def transform_scheme(sch: FatPointScheme, g: RatMatrix) -> FatPointScheme:
-    """Apply the coordinate change x -> g x to every point.
+def transform_scheme(sch: FatPointScheme, g: Sequence[Sequence[int]]) -> FatPointScheme:
+    """Apply the coordinate change x -> g x, given by the integer rows of g,
+    to every point.
 
     A form f vanishes to order m at p exactly when f after the inverse
     substitution vanishes to order m at g p, so the transformed scheme's
     symbolic power realizes the original one in new coordinates.
     """
     k = sch.dim + 1
-    if g.rows != k or g.cols != k:
+    if len(g) != k or any(len(row) != k for row in g):
         raise ValueError("coordinate change has the wrong shape")
-    g_rows = g.int_rows()
+    g_rows = [clear_denominators(row) for row in g]
     new_points = []
     for p in sch.int_points:
         q = [sum(a * c for a, c in zip(row, p)) for row in g_rows]
@@ -198,40 +156,21 @@ class StarConfiguration:
         return FatPointScheme(self.n, self.points, multiplicity)
 
 
-def _int_kernel_vector(rows: list[list[int]], ncols: int) -> list[int] | None:
-    """Kernel vector of an (ncols-1) x ncols integer system via cofactor
-    expansion along the deleted column (Cramer); None if rank deficient."""
-    coords = []
-    for j in range(ncols):
-        minor = [[row[c] for c in range(ncols) if c != j] for row in rows]
-        coords.append((-1) ** j * _det_int(minor))
-    if all(c == 0 for c in coords):
+def _kernel_vector(rows: list[list[int]], ncols: int) -> list[Fraction] | None:
+    """Kernel vector of an (ncols-1) x ncols integer system, by exact
+    elimination and back-substitution; None if rank deficient."""
+    pivots, ech = echelon_int(rows, range(ncols), ncols)
+    if len(pivots) != ncols - 1:
         return None
+    (free,) = set(range(ncols)) - set(pivots)
+    vec = [Fraction(0)] * ncols
+    vec[free] = Fraction(1)
+    for c, row in zip(reversed(pivots), reversed(ech)):
+        vec[c] = Fraction(-sum(a * x for a, x in zip(row[c + 1 :], vec[c + 1 :])), row[c])
     for row in rows:
-        if sum(a * c for a, c in zip(row, coords)) != 0:
-            raise AssertionError("cofactor kernel vector failed verification")
-    return coords
-
-
-def _det_int(m: list[list[int]]) -> int:
-    """Exact integer determinant (Bareiss)."""
-    a = [list(r) for r in m]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[-1][-1] if n else 1
+        if sum(a * x for a, x in zip(row, vec)) != 0:
+            raise AssertionError("kernel vector failed verification")
+    return vec
 
 
 def _points_from_hyperplanes(
@@ -242,10 +181,10 @@ def _points_from_hyperplanes(
     seen = set()
     for subset in combinations(range(len(hyperplanes)), n):
         rows = [list(hyperplanes[j]) for j in subset]
-        vec = _int_kernel_vector(rows, n + 1)
+        vec = _kernel_vector(rows, n + 1)
         if vec is None:
             return None
-        point = normalize_point([Fraction(c) for c in vec])
+        point = normalize_point(vec)
         if point in seen:
             return None
         seen.add(point)

@@ -3,13 +3,12 @@ from fractions import Fraction
 import pytest
 
 from starshape.gin import GinCache, compute_gin
-from starshape.rng import SeededRng
+from starshape.invariants import gin_seed
 from starshape.scheme import FatPointScheme, build_star
 
-# The same master seed the library derives for seed=0 pipelines, so results
-# computed here are shared (via the session cache) with verify_theorem runs.
-MASTER_SEED = 0
-GIN_SEED = SeededRng(MASTER_SEED).derive(2).next_u64()
+# The GIN seed that seed=0 pipelines use, so results computed here are
+# shared (via the session cache) with verify_theorem runs.
+GIN_SEED = gin_seed(0)
 
 
 @pytest.fixture(scope="session")

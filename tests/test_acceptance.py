@@ -14,10 +14,13 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
+from oracles import conditions_matrix, naive_rank_and_kernel, naive_rref
+from starshape import gin
 from starshape.cli import main as cli_main
-from starshape.gin import compute_gin, hf_symbolic, result_to_json
+from starshape.gin import compute_gin, result_to_json
 from starshape.lp import EQ, GE, LE
-from starshape.scheme import build_star, conditions_matrix
+from starshape.monomial import monomials_of_degree
+from starshape.scheme import _condition_rows, build_star
 from starshape.shape import (
     AxisSimplex,
     avoids_interior,
@@ -264,42 +267,10 @@ def test_c8_structural_suite(star_gin, conic_gin, gin_cache):
 # --- criterion 9: oracle equivalence ------------------------------------------
 
 
-def naive_rank_and_kernel(rows):
-    """Textbook fraction Gaussian elimination, independent of the library."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        m[r] = [x / m[r][c] for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    kernel = []
-    pivot_set = set(pivots)
-    for fcol in range(ncols):
-        if fcol in pivot_set:
-            continue
-        v = [Fraction(0)] * ncols
-        v[fcol] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -m[i][fcol]
-        kernel.append(v)
-    return len(pivots), kernel
-
-
 def test_c9_rank_and_nullspace_against_naive_oracle(conic_scheme):
-    from starshape.linalg import nullspace, rank
-
+    # The pipeline's profile of every condition matrix (mod-p profile plus
+    # certificate, and the exact fallback alone) against naive Fraction
+    # elimination; the naive kernel dimension against the computed hf_table.
     checked = 0
     schemes = [
         build_star(n, s).scheme(m)
@@ -313,15 +284,19 @@ def test_c9_rank_and_nullspace_against_naive_oracle(conic_scheme):
             continue
         res = compute_gin(sch, seed=1)
         for d in range(res.stop_degree + 2):
-            mat = conditions_matrix(sch, d)
-            oracle_rank, oracle_kernel = naive_rank_and_kernel(mat.row_list())
-            assert rank(mat) == oracle_rank
-            mine = nullspace(mat)
-            assert mine == oracle_kernel  # same canonical construction
-            for v in mine:
-                assert all(x == 0 for x in mat.matvec(v))
+            rows = conditions_matrix(sch, d)
+            ncols = len(rows[0])
+            oracle_rank, oracle_kernel = naive_rank_and_kernel(rows, ncols)
+            for v in oracle_kernel:
+                assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows)
+            scan, _ = naive_rref(rows, range(ncols - 1, -1, -1))
+            oracle_free = [j for j in range(ncols) if j not in scan]
+            int_rows = _condition_rows(sch.int_points, n + 1, m, monomials_of_degree(n + 1, d), d)
+            assert gin._settled_free_columns(int_rows, ncols) == (oracle_free, oracle_rank)
+            assert gin._free_columns(int_rows, ncols) == (oracle_free, oracle_rank)
             if d >= m:
-                assert len(mine) == hf_symbolic(sch, d)
+                dim_d = res.hf_table[d][1] if d <= res.stop_degree else ncols - res.colength
+                assert len(oracle_kernel) == dim_d
             checked += 1
     assert checked >= 40
     print(f"ACCEPTANCE C9 (linear algebra): PASS - {checked} condition matrices "

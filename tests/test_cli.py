@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from starshape.cli import main
 
 
@@ -163,8 +165,11 @@ def test_flags_rejected_before_any_output(tmp_path, monkeypatch):
         monkeypatch.setattr(f"starshape.cli.{name}", no_computation)
     cube = tmp_path / "cube.json"
     cube.write_text(json.dumps({"dim": 3, "points": [["1", "0", "0", "1"], ["0", "1", "0", "1"]]}))
+    double = tmp_path / "double.json"
+    double.write_text(json.dumps({"dim": 2, "multiplicity": 2, "points": [["1", "1", "1"]]}))
     out = tmp_path / "out.json"
     svg = tmp_path / "out.svg"
+    cache = tmp_path / "cache"
     for argv in (
         ["star", "--n", "3", "--s", "4", "--m", "1", "--json", str(out), "--svg", str(svg)],
         ["verify", "--n", "3", "--s", "4", "--m-max", "3", "--json", str(out), "--svg", str(svg)],
@@ -173,9 +178,24 @@ def test_flags_rejected_before_any_output(tmp_path, monkeypatch):
          "--expect-vertices", "2,3,4"],
         ["invariants", "--n", "2", "--s", "3", "--m-max", "1", "--json", str(out),
          "--svg", str(svg)],
+        ["star", "--n", "2", "--s", "3", "--m", "1", "--coeff-bound", "1", "--json", str(out)],
+        ["verify", "--n", "2", "--s", "3", "--m-max", "2", "--mode", "seeded",
+         "--coeff-bound", "0", "--json", str(out)],
+        ["custom", "--points", "conic", "--m-max", "1", "--json", str(out),
+         "--expect-vertices=-1,3"],
+        ["custom", "--points", str(double), "--m-max", "1", "--json", str(out)],
     ):
-        assert run(*argv) == 2
-        assert not out.exists() and not svg.exists()
+        assert run(*argv, "--cache", str(cache)) == 2
+        assert not out.exists() and not svg.exists() and not cache.exists()
+
+
+def test_internal_value_error_is_not_a_usage_error(monkeypatch):
+    def internal_bug(*args, **kwargs):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr("starshape.cli.compute_gin", internal_bug)
+    with pytest.raises(ValueError, match="internal bug"):
+        run("star", "--n", "2", "--s", "3", "--m", "1", "--no-cache")
 
 
 def test_star_ignores_edited_generators_in_cache_file(tmp_path, capsys):

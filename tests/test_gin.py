@@ -1,8 +1,10 @@
 import json
+from fractions import Fraction
 from math import comb
 
 import pytest
 
+from oracles import coordinate_change_for, gin_degree, hf_symbolic, two_step_gin_degree
 from starshape import gin, linalg
 from starshape.errors import GenericityError
 from starshape.gin import (
@@ -11,25 +13,19 @@ from starshape.gin import (
     GinResult,
     cache_key,
     compute_gin,
-    coordinate_change_for,
-    gin_degree,
-    hf_symbolic,
     result_from_json,
     result_to_json,
-    verify_green,
 )
+from starshape.invariants import seeded_star
 from starshape.linalg import (
     MODULUS,
-    RatMatrix,
     certified_free_columns,
     free_columns_mod_p,
-    nullspace,
     random_invertible_matrix,
-    rref_with_column_order,
 )
 from starshape.monomial import MonomialIdeal, monomials_of_degree
 from starshape.rng import SeededRng
-from starshape.scheme import FatPointScheme, build_star, conditions_matrix, transform_scheme
+from starshape.scheme import FatPointScheme, build_star
 
 
 def same_math(a: GinResult, b: GinResult) -> bool:
@@ -85,27 +81,6 @@ def test_gin_degree_examples(star_gin):
     assert gin_degree(star.scheme(1), 2, g1) == {(2, 0, 0), (1, 1, 0), (0, 2, 0)}
 
 
-def test_gin_degree_rejects_singular_matrix():
-    star = build_star(2, 3)
-    singular = RatMatrix.from_rows([[1, 0, 0], [0, 1, 0], [1, 1, 0]])
-    with pytest.raises(ValueError, match="singular"):
-        gin_degree(star.scheme(1), 2, singular)
-
-
-def two_step_gin_degree(sch, d, g):
-    """The kernel-basis-then-reduce description, as an independent oracle."""
-    if d < sch.multiplicity:
-        return set()
-    moved = transform_scheme(sch, g)
-    kernel = nullspace(conditions_matrix(moved, d))
-    if not kernel:
-        return set()
-    kmat = RatMatrix.from_rows(kernel)
-    pivots, _ = rref_with_column_order(kmat, range(kmat.cols))
-    mons = monomials_of_degree(sch.dim + 1, d)
-    return {mons[j] for j in pivots}
-
-
 def test_gin_degree_matches_two_step_description():
     g = random_invertible_matrix(SeededRng(21), 3, 100)
     star = build_star(2, 3)
@@ -141,7 +116,7 @@ def test_structural_invariants(star_gin):
     for n, s, m in [(2, 3, 1), (2, 3, 2), (2, 4, 2), (3, 4, 2)]:
         res = star_gin(n, s, m)
         assert res.min_generators.is_borel_fixed()
-        assert verify_green(res)
+        assert all(g[-1] == 0 for g in res.min_generators.generators)
         assert res.colength == comb(s, n) * comb(n + m - 1, n)
         for d, dim_d, q in res.hf_table:
             assert res.min_generators.hilbert_function(d) == q
@@ -194,30 +169,6 @@ def test_pivot_count_equals_hf(star_gin):
     g = coordinate_change_for(res)
     for d in range(res.stop_degree + 1):
         assert len(gin_degree(sch, d, g)) == hf_symbolic(sch, d)
-
-
-def test_verify_green_detects_injected_generator(star_gin):
-    res = star_gin(2, 3, 1)
-    bad = GinResult(
-        n=res.n,
-        m=res.m,
-        min_generators=MonomialIdeal(3, [(1, 0, 1), (0, 2, 0), (2, 0, 0), (1, 1, 0)]),
-        artinian=res.artinian,
-        hf_table=res.hf_table,
-        stop_degree=res.stop_degree,
-        colength=res.colength,
-        seeds_used=res.seeds_used,
-        bound=res.bound,
-    )
-    assert not verify_green(bad)
-    empty = GinResult(
-        n=2, m=1,
-        min_generators=MonomialIdeal(3, []),
-        artinian=MonomialIdeal(2, []),
-        hf_table=((0, 0, 1),),
-        stop_degree=0, colength=0, seeds_used=(0, 0), bound=2,
-    )
-    assert verify_green(empty)  # vacuously
 
 
 def test_seed_independence():
@@ -280,6 +231,36 @@ def test_cache_key_distinguishes_inputs():
     assert cache_key(s1, 1, 1000) != cache_key(s2, 1, 1000)
     assert cache_key(s1, 1, 1000) != cache_key(s1, 2, 1000)
     assert cache_key(s1, 1, 1000) != cache_key(s1, 1, 500)
+
+
+def test_cache_keys_and_star_points_are_pinned():
+    # Changing the star points, their canonical form or the key payload
+    # would orphan every existing cache file.
+    assert build_star(2, 3).points == (
+        (2, -3, 1), (3, -4, 1), (6, -5, 1)
+    )
+    # Points at infinity: the kernel's free column is not the last one.
+    assert build_star(2, 3, mode="seeded", seed=12, bound=3).points == (
+        (Fraction(2, 3), 1, 0), (-3, -3, 1), (1, 0, 0)
+    )
+    assert cache_key(build_star(2, 3).scheme(2), 0, 1000) == (
+        "6b34482fcf76549d77e586a9d9a09f8bfac7a2375b689e2aaf1785b7928eab31"
+    )
+    assert cache_key(build_star(3, 5).scheme(1), 0, 1000) == (
+        "fe982b31ec74c1b0b52c65a2e4b1ff41f466825dc3ea89af45e9f8221fd67413"
+    )
+    stars = {
+        "4ef9db280669ba832ac3e2a281915e8bac464df98e1abbf68edbb3337555c213": build_star(1, 1),
+        "40a11cfb195d757f468b49dedd69f0040a3528cf4502c6a62df0a7fe85455e67": build_star(2, 5),
+        "f15811e0ee955173275b7e4e0cc93e21db82df2c6ecb5ad7ea78e3defdecea2c": build_star(3, 4),
+        "8f6996e34d49a8b92d842c218d7de410799ff38095e59be6be5fcb15430c40c6": build_star(4, 5),
+        "3f956cf4d69385325fb6ed25f0a21aaadf287f96f349d41346994092c3d36a91":
+            seeded_star(2, 4, "seeded", 0, 1000),
+        "6de3501a45e5e36f85ec55012822969360369643969b9acd5449d0302586da95":
+            build_star(3, 4, mode="seeded", seed=11, bound=50),
+    }
+    for digest, star in stars.items():
+        assert cache_key(star.scheme(1), 0, 1000) == digest
 
 
 def test_close_points_still_compute_exactly():
@@ -416,9 +397,12 @@ def test_witness_mismatch_raises_and_compute_gin_redraws(monkeypatch):
         lambda text: text.replace('"m": 2', '"m": 3'),
         lambda text: text.replace('"bound": 1000', '"bound": 999'),
         lambda text: text.replace('"colength": "9"', '"colength": "8"'),
+        lambda text: text.replace('"generators_full": [', '"generators_full": [[0, 0, 9], '),
+        lambda text: text.replace('"hf_table": [[0, 0, 1]', '"hf_table": [[0]'),
     ],
     ids=["truncated", "empty", "not-json", "missing-keys", "wrong-schema", "not-object",
-         "bad-generator", "other-m", "other-bound", "wrong-colength"],
+         "bad-generator", "other-m", "other-bound", "wrong-colength", "last-variable",
+         "short-hf-row"],
 )
 def test_broken_cache_file_is_a_miss_and_gets_rewritten(tmp_path, damage):
     sch = build_star(2, 3).scheme(2)

@@ -2,14 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from starshape.invariants import (
-    alpha,
-    asreg_estimate,
-    custom_report,
-    regularity,
-    verify_theorem,
-    waldschmidt_estimate,
-)
+from oracles import alpha
+from starshape.invariants import custom_report, regularity, verify_theorem
 from starshape.scheme import build_star
 
 
@@ -30,27 +24,31 @@ def test_alpha_matches_first_axis_pure_power(star_gin):
         assert alpha(build_star(n, s).scheme(m)) == res.t_vector()[0] == res.alpha()
 
 
-def test_waldschmidt_estimate_star23():
-    ratios, running_min = waldschmidt_estimate(build_star(2, 3).scheme(1), 2)
-    assert ratios == [F(2), F(3, 2)]
-    assert running_min == F(3, 2)  # equals s/n
+def alpha_ratios(report):
+    return [F(r.alpha, r.m) for r in report.rows]
 
 
-def test_waldschmidt_star_equality_at_multiples_of_n():
+def test_waldschmidt_estimate_star23(gin_cache):
+    report = custom_report(build_star(2, 3).scheme(1), 2, cache=gin_cache)
+    assert alpha_ratios(report) == [F(2), F(3, 2)]
+    assert report.waldschmidt_min == F(3, 2)  # equals s/n
+
+
+def test_waldschmidt_star_equality_at_multiples_of_n(gin_cache):
     for n, s, m_max in [(2, 3, 4), (2, 4, 4)]:
-        ratios, running_min = waldschmidt_estimate(build_star(n, s).scheme(1), m_max)
+        report = custom_report(build_star(n, s).scheme(1), m_max, cache=gin_cache)
         target = F(s, n)
-        assert running_min == target
-        for m, r in enumerate(ratios, start=1):
+        assert report.waldschmidt_min == target
+        for m, r in enumerate(alpha_ratios(report), start=1):
             assert r >= target
             if m % n == 0:
                 assert r == target
 
 
-def test_waldschmidt_conic_is_two(conic_scheme):
-    ratios, running_min = waldschmidt_estimate(conic_scheme, 3)
-    assert ratios == [F(2), F(2), F(2)]
-    assert running_min == 2
+def test_waldschmidt_conic_is_two(gin_cache, conic_scheme):
+    report = custom_report(conic_scheme, 3, cache=gin_cache)
+    assert alpha_ratios(report) == [F(2), F(2), F(2)]
+    assert report.waldschmidt_min == 2
 
 
 def test_regularity_examples(star_gin, conic_gin):
@@ -62,14 +60,17 @@ def test_regularity_examples(star_gin, conic_gin):
     assert regularity(conic_gin(1)) == 4
 
 
-def test_asreg_estimate_values(star_gin, conic_gin):
-    ratios, est = asreg_estimate([star_gin(2, 3, m) for m in (1, 2, 3)])
-    assert ratios == [F(2), F(2), F(2)]
-    assert est == 2  # s - n + 1
+def test_asreg_estimate_values(star_gin, gin_cache, conic_scheme):
+    def reg_ratios(report):
+        return [F(r.reg, r.m) for r in report.rows]
+
+    star = custom_report(build_star(2, 3).scheme(1), 3, cache=gin_cache)
+    assert reg_ratios(star) == [F(2), F(2), F(2)]
+    assert star.asreg_estimate == 2  # s - n + 1
     assert regularity(star_gin(3, 4, 1)) == 2  # x3^2 generator
-    conic_ratios, conic_est = asreg_estimate([conic_gin(m) for m in (1, 2, 3)])
-    assert conic_ratios == [F(4), F(7, 2), F(10, 3)]
-    assert conic_est == F(10, 3)  # decreasing toward 3
+    conic = custom_report(conic_scheme, 3, cache=gin_cache)
+    assert reg_ratios(conic) == [F(4), F(7, 2), F(10, 3)]
+    assert conic.asreg_estimate == F(10, 3)  # decreasing toward 3
 
 
 def test_alpha_subadditive(star_gin):

@@ -4,46 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import exact_free_columns, naive_rank_and_kernel, naive_rref
 from starshape.linalg import (
     MODULUS,
-    RatMatrix,
     certified_free_columns,
     clear_denominators,
     echelon_int,
     format_rational,
     free_columns_mod_p,
-    nullspace,
     parse_rational,
-    pivot_columns,
     random_invertible_matrix,
-    rank,
-    rref_with_column_order,
 )
 from starshape.rng import SeededRng
-
-
-def naive_rref(rows, order):
-    """Independent oracle: textbook Gaussian elimination on Fractions,
-    no integer clearing, no gcd games."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    nrows = len(m)
-    pivots = []
-    r = 0
-    for c in order:
-        piv = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        m[r] = [x / m[r][c] for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return pivots, m
 
 
 fractions_st = st.fractions(
@@ -66,89 +38,38 @@ def small_matrices(draw):
 
 
 def test_rref_identity_natural_order():
-    m = RatMatrix.identity(2)
-    pivots, reduced = rref_with_column_order(m, [0, 1])
-    assert pivots == [0, 1]
-    assert reduced.row_list() == m.row_list()
+    assert echelon_int([[1, 0], [0, 1]], [0, 1], 2) == ([0, 1], [[1, 0], [0, 1]])
 
 
 def test_rref_single_nonzero_column():
-    m = RatMatrix.from_rows([[0, 1], [0, 0]])
-    pivots, reduced = rref_with_column_order(m, [0, 1])
-    assert pivots == [1]
-    assert reduced.row_list() == [[Fraction(0), Fraction(1)], [Fraction(0), Fraction(0)]]
+    assert echelon_int([[0, 1], [0, 0]], [0, 1], 2) == ([1], [[0, 1]])
 
 
 def test_rref_scan_order_drives_pivot_choice():
-    m = RatMatrix.from_rows([[2, 3]])
-    pivots, reduced = rref_with_column_order(m, [1, 0])
-    assert pivots == [1]
-    assert reduced.row_list() == [[Fraction(2, 3), Fraction(1)]]
+    assert echelon_int([[2, 3]], [1, 0], 2)[0] == [1]
+    assert echelon_int([[2, 3]], [0, 1], 2)[0] == [0]
 
 
-def test_rref_rejects_non_permutation_order():
-    m = RatMatrix.identity(2)
-    with pytest.raises(ValueError):
-        rref_with_column_order(m, [0, 0])
+def test_pivot_columns_is_echelon_prefix_of_rref():
+    rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
+    pivots, ech = echelon_int(rows, [0, 1, 2], 3)
+    assert pivots == naive_rref(rows, [0, 1, 2])[0] == [0, 1]
+    assert len(ech) == 2
 
 
 @settings(max_examples=150)
 @given(small_matrices(), st.randoms(use_true_random=False))
 def test_rref_matches_naive_oracle(rows, rnd):
+    # The exact fallback's pivot profile along a random scan order, on the
+    # rows scaled to integers, is the naive Fraction elimination's.
     order = list(range(len(rows[0])))
     rnd.shuffle(order)
-    mat = RatMatrix.from_rows(rows)
-    pivots, reduced = rref_with_column_order(mat, order)
-    oracle_pivots, oracle_m = naive_rref(rows, order)
-    assert pivots == oracle_pivots
-    assert reduced.row_list() == oracle_m
-
-
-@settings(max_examples=100)
-@given(small_matrices())
-def test_rank_nullity_exact(rows):
-    mat = RatMatrix.from_rows(rows)
-    basis = nullspace(mat)
-    assert rank(mat) + len(basis) == mat.cols
-    for v in basis:
-        assert all(x == 0 for x in mat.matvec(v))
-
-
-@settings(max_examples=60)
-@given(small_matrices())
-def test_rref_pivot_columns_carry_identity(rows):
-    mat = RatMatrix.from_rows(rows)
-    pivots, reduced = rref_with_column_order(mat, range(mat.cols))
-    for i, c in enumerate(pivots):
-        column = [reduced.at(r, c) for r in range(mat.rows)]
-        expected = [Fraction(int(r == i)) for r in range(mat.rows)]
-        assert column == expected
-
-
-@settings(max_examples=60)
-@given(small_matrices())
-def test_transform_reproduces_input(rows):
-    mat = RatMatrix.from_rows(rows)
-    pivots, reduced, transform = rref_with_column_order(
-        mat, range(mat.cols), want_transform=True
-    )
-    assert transform.matmul(mat).row_list() == reduced.row_list()
-    assert rank(transform) == mat.rows  # invertible row operations
-
-
-def test_nullspace_examples():
-    one = RatMatrix.from_rows([[1, 1]])
-    basis = nullspace(one)
-    assert len(basis) == 1
-    v = basis[0]
-    assert v[0] == -v[1] != 0
-    assert nullspace(RatMatrix.identity(2)) == []
-
-
-def test_pivot_columns_is_echelon_prefix_of_rref():
-    m = RatMatrix.from_rows([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
-    assert pivot_columns(m, [0, 1, 2]) == rref_with_column_order(m, [0, 1, 2])[0]
-    assert rank(m) == 2
+    ints = [clear_denominators(r) for r in rows]
+    before = [list(r) for r in ints]
+    pivots, ech = echelon_int(ints, order, len(order))
+    assert ints == before  # input rows are left untouched
+    assert pivots == naive_rref(rows, order)[0]
+    assert len(ech) == len(pivots)
 
 
 @given(st.fractions(max_denominator=1000))
@@ -175,21 +96,13 @@ def test_clear_denominators_is_primitive_and_parallel(row):
 def test_random_invertible_matrix_contract():
     g1 = random_invertible_matrix(SeededRng(5), 3, 1000)
     g2 = random_invertible_matrix(SeededRng(5), 3, 1000)
-    assert g1.row_list() == g2.row_list()
-    assert rank(g1) == 3
-    assert all(
-        -1000 <= x <= 1000 and x.denominator == 1 for x in g1.entries
-    )
+    assert g1 == g2
+    assert naive_rank_and_kernel(g1, 3)[0] == 3
+    assert all(type(x) is int and -1000 <= x <= 1000 for row in g1 for x in row)
     tiny = random_invertible_matrix(SeededRng(5), 1, 10)
-    assert tiny.at(0, 0) != 0
+    assert tiny[0][0] != 0
     with pytest.raises(ValueError):
         random_invertible_matrix(SeededRng(5), 2, 1)
-
-
-def exact_free_columns(rows, ncols):
-    """Non-pivot columns of echelon_int's last-column-first scan over Q."""
-    pivots, _ = echelon_int([list(r) for r in rows], range(ncols - 1, -1, -1), ncols)
-    return [j for j in range(ncols) if j not in pivots]
 
 
 @st.composite
