@@ -22,7 +22,6 @@ from .invariants import (
     verify_theorem,
 )
 from .linalg import random_invertible_matrix
-from .lp import lp_feasible
 from .monomial import MonomialIdeal, monomials_of_degree, revlex_cmp
 from .rng import SeededRng
 from .scheme import (
@@ -69,7 +68,6 @@ __all__ = [
     "contains",
     "custom_report",
     "load_points",
-    "lp_feasible",
     "monomials_of_degree",
     "q_area_2d",
     "q_volume_estimate",

@@ -233,12 +233,24 @@ def _validate(res: GinResult, sch: FatPointScheme) -> None:
 
 def _fits(res: GinResult, sch: FatPointScheme, bound: int) -> bool:
     """Whether a cached result was computed for this request, has the
-    scheme's length and no generator in the last variable.  Cheap checks
-    only: the full _validate is not run on cache hits."""
+    scheme's length, no generator in the last variable and a quotient
+    Hilbert column of the shape _run_pair leaves: row d at index d, 0 <= q_d
+    <= dim of degree d, no plateau before the last two entries, and those
+    equal to the colength.  Cheap checks only: the full _validate is not run
+    on cache hits."""
+    qs = [q for _, _, q in res.hf_table]
     return (
         (res.n, res.m, res.bound) == (sch.dim, sch.multiplicity, bound)
         and res.colength == sch.fat_point_degree()
         and not any(g[-1] for g in res.min_generators.generators)
+        and len(qs) >= 2
+        and all(
+            e == d and type(e) is type(q) is int
+            and 0 <= q <= dimension_of_degree(res.n + 1, d)
+            for d, (e, _, q) in enumerate(res.hf_table)
+        )
+        and all(a != b for a, b in zip(qs[:-2], qs[1:-1]))
+        and qs[-2] == qs[-1] == res.colength
     )
 
 
@@ -313,13 +325,18 @@ def result_from_json(doc: dict) -> GinResult:
         raise ValueError(f"not a {GIN_SCHEMA} document")
     n = doc["n"]
     # The document's "generators" field is output only: GinResult derives
-    # the artinian generators from generators_full.
+    # the artinian generators from generators_full.  Of the Hilbert table
+    # only the quotient column q is read; dim_d = C(d + n, n) - q_d, and the
+    # table ends at the stop degree (_fits checks the column's shape).
+    hf_table = tuple(
+        (d, dimension_of_degree(n + 1, d) - q, q) for d, _, q in doc["hf_table"]
+    )
     return GinResult(
         n=n,
         m=doc["m"],
         min_generators=MonomialIdeal(n + 1, [tuple(g) for g in doc["generators_full"]]),
-        hf_table=tuple((d, dim_d, q) for d, dim_d, q in doc["hf_table"]),
-        stop_degree=doc["stop_degree"],
+        hf_table=hf_table,
+        stop_degree=len(hf_table) - 1,
         colength=int(doc["colength"]),
         seeds_used=tuple(int(s) for s in doc["seeds_used"]),
         bound=doc["bound"],

@@ -3,9 +3,11 @@
 The Newton polytope P of a monomial ideal is the convex hull of its
 generator lattice points plus the non-negative orthant (recession by
 monomial multiples); Q is the closure of the complement of P inside the
-orthant, bounded exactly when every axis carries a pure power.  For n = 2
-the area of Q is exact (lower-left convex chain + shoelace); for n >= 3 a
-seeded Monte-Carlo estimate is provided for reporting only.
+orthant, bounded exactly when every axis carries a pure power.  Membership
+in P is decided by P's exact facet inequalities (Shape.facets, computed
+once per shape by double description in integers).  For n = 2 the area of
+Q is exact (lower-left convex chain + shoelace); for n >= 3 a seeded
+Monte-Carlo estimate is provided for reporting only.
 
 AxisSimplex is the simplex spanned by the origin and one point per axis;
 for a star configuration of s hyperplanes in P^n the predicted limit
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import comb, factorial
 from typing import Sequence
@@ -23,10 +26,10 @@ from typing import Sequence
 from .errors import UnboundedRegionError
 from .gin import GinResult
 from .linalg import format_rational
-from .lp import EQ, LE, lp_feasible
 from .rng import SeededRng
 
 Point = tuple[Fraction, ...]
+Facet = tuple[tuple[int, ...], Fraction]
 
 
 @dataclass(frozen=True)
@@ -57,6 +60,85 @@ class Shape:
                     raise ValueError(f"comparable generator points {p} and {q}")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "scale", Fraction(self.scale))
+
+    @cached_property
+    def facets(self) -> tuple[Facet, ...]:
+        """P's facet inequalities (a, b), sorted: for x >= 0, x lies in P
+        exactly when a.x >= b for every pair.  a is a primitive integer
+        vector with a >= 0 and b > 0 is rational; inequalities with b <= 0
+        hold on the whole orthant and are left out."""
+        facets = _facets(self.points)
+        _check_facets(self.points, facets)
+        return facets
+
+
+def _integer_points(points: Sequence[Point]) -> tuple[int, list[tuple[int, ...]]]:
+    """(L, the points times L) for L the lcm of their denominators."""
+    scale = math.lcm(*(c.denominator for p in points for c in p))
+    return scale, [tuple(int(c * scale) for c in p) for p in points]
+
+
+def _facets(points: Sequence[Point]) -> tuple[Facet, ...]:
+    """Facet inequalities of conv(points) + orthant by double description.
+
+    The homogenised cone is generated by (g, 1) for each generator g and by
+    (e_i, 0) for each axis; the extreme rays (a, -b) of its dual cone
+    {y : y.(e_i, 0) >= 0, y.(g, 1) >= 0} are the facet normals.  The
+    constraints are added one at a time to the simplicial cone of the axes
+    and the generator of least coordinate sum, in increasing coordinate
+    sum.  Two rays are adjacent when their zero sets (bit masks over the
+    constraints added so far) share at least n - 1 constraints and no third
+    ray's zero set contains the shared ones; this is exact however many
+    generators lie on one facet.  Integers only: the points are scaled by
+    the lcm L of their denominators, and every ray is divided by its gcd.
+    """
+    n = len(points[0])
+    scale, ints = _integer_points(points)
+    first, *rest = sorted(ints, key=lambda p: (sum(p), p))
+    axes = (1 << n) - 1  # bit i: axis i; bit n + t: the t-th generator
+    rays = [
+        (tuple(int(i == j) for j in range(n)) + (-first[i],), axes & ~(1 << i) | 1 << n)
+        for i in range(n)
+    ]
+    rays.append(((0,) * n + (1,), axes))
+    for t, g in enumerate(rest, start=1):
+        bit = 1 << (n + t)
+        pos, neg, nxt = [], [], []
+        for ray, zero in rays:
+            v = sum(a * c for a, c in zip(ray, g)) + ray[n]
+            if v > 0:
+                pos.append((ray, zero, v))
+                nxt.append((ray, zero))
+            elif v < 0:
+                neg.append((ray, zero, v))
+            else:
+                nxt.append((ray, zero | bit))
+        for rp, zp, vp in pos:
+            for rn, zn, vn in neg:
+                common = zp & zn
+                if common.bit_count() < n - 1 or any(
+                    z & common == common for _, z in rays if z != zp and z != zn
+                ):
+                    continue
+                w = [vp * x - vn * y for x, y in zip(rn, rp)]
+                div = math.gcd(*w)
+                nxt.append((tuple(x // div for x in w), common | bit))
+        rays = nxt
+    facets = []
+    for ray, _ in rays:
+        if ray[n] < 0:
+            div = math.gcd(*ray[:n])
+            facets.append((tuple(x // div for x in ray[:n]), Fraction(-ray[n], scale * div)))
+    return tuple(sorted(facets))
+
+
+def _check_facets(points: Sequence[Point], facets: Sequence[Facet]) -> None:
+    """Raises AssertionError unless every generator satisfies every
+    inequality and each inequality is tight on some generator."""
+    scale, ints = _integer_points(points)
+    for a, b in facets:
+        if min(sum(x * c for x, c in zip(a, p)) for p in ints) != b * scale:
+            raise AssertionError(f"inequality {a}.x >= {b} is violated or not tight")
 
 
 def shape_of(res: GinResult) -> Shape:
@@ -93,26 +175,18 @@ def axis_intercept(sh: Shape, i: int) -> Fraction | None:
 
 
 def contains(sh: Shape, q: Sequence[Fraction]) -> bool:
-    """Exact membership of q in P = conv(points) + orthant, via LP
-    feasibility: lambda >= 0, sum lambda = 1, sum lambda g <= q."""
+    """Exact membership of q in P = conv(points) + orthant: a.q >= b for
+    every facet inequality (a, b) of sh.facets, compared in integers."""
     point = [Fraction(c) for c in q]
     if len(point) != sh.num_vars:
         raise ValueError("dimension mismatch")
     if any(c < 0 for c in point):
         raise ValueError("membership queries live in the orthant")
-    k = len(sh.points)
-    rows = []
-    rels = []
-    rhs = []
-    for i in range(sh.num_vars):
-        rows.append([g[i] for g in sh.points])
-        rels.append(LE)
-        rhs.append(point[i])
-    rows.append([Fraction(1)] * k)
-    rels.append(EQ)
-    rhs.append(Fraction(1))
-    feasible, _ = lp_feasible(rows, rhs, rels, [True] * k)
-    return feasible
+    den, (nums,) = _integer_points([point])
+    return all(
+        sum(x * y for x, y in zip(a, nums)) * b.denominator >= b.numerator * den
+        for a, b in sh.facets
+    )
 
 
 def _lower_hull(points: Sequence[tuple[Fraction, Fraction]]):
@@ -154,8 +228,10 @@ def q_volume_estimate(
     """Monte-Carlo estimate (value, stderr) of vol(Q) for n >= 3.
 
     Samples uniformly in the simplex spanned by the axis intercepts (which
-    contains Q) and counts non-membership in P.  Reporting only; nothing
-    downstream decides on these floats.  Deterministic given seed.
+    contains Q) and counts non-membership in P, each sample converted to
+    exact rationals and tested against P's facet inequalities.  Reporting
+    only; nothing downstream decides on these floats.  Deterministic given
+    seed.
     """
     n = sh.num_vars
     if n < 3:

@@ -3,10 +3,14 @@
 The Fraction eliminations here share no code with the library.  The
 rank-based oracles (hf_symbolic, gin_degree, alpha) take their ranks from
 the library's exact fallback, linalg.echelon_int, never from the mod-p
-profile or its certificate, so they check the pipeline's fast path.
+profile or its certificate, so they check the pipeline's fast path.  The
+geometry oracles decide membership in a Newton polyhedron by vertex
+enumeration and find its facets by trying every candidate hyperplane.
 """
 
+import math
 from fractions import Fraction
+from itertools import combinations
 
 from starshape.linalg import echelon_int, random_invertible_matrix
 from starshape.monomial import dimension_of_degree, monomials_of_degree
@@ -126,3 +130,84 @@ def two_step_gin_degree(sch, d, g):
 def coordinate_change_for(res, which=0):
     """Rebuild one of the coordinate changes a result was computed with."""
     return random_invertible_matrix(SeededRng(res.seeds_used[which]), res.n + 1, res.bound)
+
+
+# --- Newton-polyhedron geometry.
+
+LE, EQ, GE = "<=", "=", ">="
+
+
+def solve_square(rows, rhs):
+    """Unique exact solution of a square system, or None."""
+    n = len(rows)
+    m = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    r = 0
+    for c in range(n):
+        piv = next((i for i in range(r, n) if m[i][c] != 0), None)
+        if piv is None:
+            return None
+        m[r], m[piv] = m[piv], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(n):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        r += 1
+    return [m[i][n] for i in range(n)]
+
+
+def brute_force_feasible(rows, rels, rhs, nvars):
+    """Whether {x >= 0 : rows x (rels) rhs} is non-empty, by vertex
+    enumeration (complete because the region is pointed)."""
+    planes = [(row, b) for row, b in zip(rows, rhs)]
+    planes += [
+        ([Fraction(int(j == i)) for j in range(nvars)], Fraction(0))
+        for i in range(nvars)
+    ]
+    for subset in combinations(range(len(planes)), nvars):
+        candidate = solve_square(
+            [planes[i][0] for i in subset], [planes[i][1] for i in subset]
+        )
+        if candidate is None:
+            continue
+        if any(x < 0 for x in candidate):
+            continue
+        ok = True
+        for row, rel, b in zip(rows, rels, rhs):
+            lhs = sum(a * x for a, x in zip(row, candidate))
+            ok = lhs <= b if rel == LE else lhs >= b if rel == GE else lhs == b
+            if not ok:
+                break
+        if ok:
+            return True
+    return False
+
+
+def naive_facets(points):
+    """The facet inequalities (a, b) with b > 0 of conv(points) + orthant,
+    sorted, a primitive and non-negative: every hyperplane through n of the
+    k points and axis directions (C(k + n, n) candidates) that is unique,
+    bounds every point from below and has b > 0."""
+    n = len(points[0])
+    pts = [[Fraction(c) for c in p] for p in points]
+    # Rows of the homogeneous system in (a, b): a.p - b = 0, or a_i = 0.
+    objects = [p + [Fraction(-1)] for p in pts]
+    objects += [[Fraction(int(i == j)) for j in range(n + 1)] for i in range(n)]
+    found = set()
+    for subset in combinations(objects, n):
+        rank, kernel = naive_rank_and_kernel(list(subset), n + 1)
+        if rank != n:
+            continue
+        (v,) = kernel
+        if any(x < 0 for x in v[:n]):
+            v = [-x for x in v]
+        a, b = v[:n], v[n]
+        if any(x < 0 for x in a) or b <= 0:
+            continue
+        if any(sum(x * c for x, c in zip(a, p)) < b for p in pts):
+            continue
+        den = math.lcm(*(x.denominator for x in a))
+        ints = [int(x * den) for x in a]
+        div = math.gcd(*ints)
+        found.add((tuple(x // div for x in ints), b * den / div))
+    return tuple(sorted(found))

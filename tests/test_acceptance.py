@@ -11,14 +11,19 @@ Green twins assert the oracle-verified truths next to them.
 
 import time
 from fractions import Fraction
-from itertools import combinations
 from math import comb
 
-from oracles import conditions_matrix, naive_rank_and_kernel, naive_rref
+from oracles import (
+    EQ,
+    LE,
+    brute_force_feasible,
+    conditions_matrix,
+    naive_rank_and_kernel,
+    naive_rref,
+)
 from starshape import gin
 from starshape.cli import main as cli_main
 from starshape.gin import compute_gin, result_to_json
-from starshape.lp import EQ, GE, LE
 from starshape.monomial import monomials_of_degree
 from starshape.scheme import _condition_rows, build_star
 from starshape.shape import (
@@ -301,49 +306,6 @@ def test_c9_rank_and_nullspace_against_naive_oracle(conic_scheme):
     assert checked >= 40
     print(f"ACCEPTANCE C9 (linear algebra): PASS - {checked} condition matrices "
           "match the naive fraction oracle")
-
-
-def solve_square(rows, rhs):
-    n = len(rows)
-    m = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, n) if m[i][c] != 0), None)
-        if piv is None:
-            return None
-        m[r], m[piv] = m[piv], m[r]
-        m[r] = [x / m[r][c] for x in m[r]]
-        for i in range(n):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        r += 1
-    return [m[i][n] for i in range(n)]
-
-
-def brute_force_feasible(rows, rels, rhs, nvars):
-    planes = [(row, b) for row, b in zip(rows, rhs)]
-    planes += [
-        ([Fraction(int(j == i)) for j in range(nvars)], Fraction(0))
-        for i in range(nvars)
-    ]
-    for subset in combinations(range(len(planes)), nvars):
-        candidate = solve_square(
-            [planes[i][0] for i in subset], [planes[i][1] for i in subset]
-        )
-        if candidate is None:
-            continue
-        if any(x < 0 for x in candidate):
-            continue
-        ok = True
-        for row, rel, b in zip(rows, rels, rhs):
-            lhs = sum(a * x for a, x in zip(row, candidate))
-            ok = lhs <= b if rel == LE else lhs >= b if rel == GE else lhs == b
-            if not ok:
-                break
-        if ok:
-            return True
-    return False
 
 
 def test_c9_membership_against_vertex_enumeration(star_gin):

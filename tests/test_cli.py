@@ -212,3 +212,22 @@ def test_star_ignores_edited_generators_in_cache_file(tmp_path, capsys):
     path.write_text(json.dumps(doc, sort_keys=True))
     assert main(argv) == 0
     assert capsys.readouterr().out == first
+
+
+def test_star_ignores_edited_hilbert_table_in_cache_file(tmp_path, capsys):
+    # On a cache read the dimension column of hf_table and stop_degree are
+    # derived from the quotient column, whose shape is checked.
+    cache = tmp_path / "cache"
+    argv = ["star", "--n", "2", "--s", "3", "--m", "2", "--cache", str(cache), "--json"]
+    assert main(argv + [str(tmp_path / "fresh.json")]) == 0
+    first = capsys.readouterr().out
+    (path,) = cache.glob("*.json")
+    doc = json.loads(path.read_text())
+    doc["hf_table"][4][1] = 99
+    doc["stop_degree"] = 7
+    path.write_text(json.dumps(doc, sort_keys=True))
+    assert main(argv + [str(tmp_path / "served.json")]) == 0
+    assert capsys.readouterr().out == first
+    served = json.loads((tmp_path / "served.json").read_text())
+    assert served["hf_table"][4][1] == 6 and served["stop_degree"] == 4
+    assert (tmp_path / "served.json").read_bytes() == (tmp_path / "fresh.json").read_bytes()

@@ -399,10 +399,17 @@ def test_witness_mismatch_raises_and_compute_gin_redraws(monkeypatch):
         lambda text: text.replace('"colength": "9"', '"colength": "8"'),
         lambda text: text.replace('"generators_full": [', '"generators_full": [[0, 0, 9], '),
         lambda text: text.replace('"hf_table": [[0, 0, 1]', '"hf_table": [[0]'),
+        lambda text: text.replace("[2, 0, 6]", "[5, 0, 6]"),
+        lambda text: text.replace("[1, 0, 3]", "[1, 0, 4]"),
+        lambda text: text.replace("[2, 0, 6]", "[2, 0, 3]"),
+        lambda text: text.replace(", [4, 6, 9]", ""),
+        lambda text: text.replace("[4, 6, 9]", "[4, 6, 9], [5, 12, 9]"),
+        lambda text: text.replace("[1, 0, 3]", "[1, 0, 3.0]"),
     ],
     ids=["truncated", "empty", "not-json", "missing-keys", "wrong-schema", "not-object",
          "bad-generator", "other-m", "other-bound", "wrong-colength", "last-variable",
-         "short-hf-row"],
+         "short-hf-row", "hf-row-index", "q-above-dimension", "q-early-plateau",
+         "q-no-plateau", "q-late-plateau", "q-not-int"],
 )
 def test_broken_cache_file_is_a_miss_and_gets_rewritten(tmp_path, damage):
     sch = build_star(2, 3).scheme(2)

@@ -1,14 +1,18 @@
+import math
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import EQ, LE, brute_force_feasible, naive_facets
 from starshape.errors import UnboundedRegionError
 from starshape.shape import (
     AxisSimplex,
     Shape,
+    _check_facets,
+    _facets,
     avoids_interior,
     axis_intercept,
     contains,
@@ -27,6 +31,14 @@ def F(a, b=1):
 
 def shape2(*pts):
     return Shape(2, tuple(tuple(map(Fraction, p)) for p in pts))
+
+
+def minimal(raw):
+    """The minimal elements of a set of points (an antichain)."""
+    return [
+        p for p in sorted(raw)
+        if not any(o != p and all(x <= y for x, y in zip(o, p)) for o in raw)
+    ]
 
 
 # --- independent area oracle: Sutherland-Hodgman clipping of the bounding
@@ -137,16 +149,94 @@ def test_contains_consistent_with_axis_intercept(star_gin):
     st.tuples(st.integers(0, 2), st.integers(0, 2)),
 )
 def test_contains_is_monotone(raw, q, bump):
-    antichain = [
-        p
-        for p in sorted(raw)
-        if not any(
-            o != p and o[0] <= p[0] and o[1] <= p[1] for o in raw
-        )
-    ]
+    antichain = minimal(raw)
     sh = shape2(*antichain)
     if contains(sh, q):
         assert contains(sh, (q[0] + bump[0], q[1] + bump[1]))
+
+
+@st.composite
+def antichain_shapes(draw, dims=(2, 3, 4), max_points=(7, 6, 5)):
+    """Random generator antichains in dimension n, some scaled by 1/m.  Half
+    of them put several generators on one hyperplane sum x_i / w_i = c
+    (points of equal weighted sum are pairwise incomparable); shapes without
+    a pure power on some axis and single points come up on their own."""
+    n = draw(st.sampled_from(dims))
+    most = max_points[dims.index(n)]
+    raw = set(draw(st.lists(
+        st.tuples(*[st.integers(0, 6)] * n), min_size=1, max_size=most
+    )))
+    if draw(st.booleans()):
+        c = draw(st.integers(1, 5))
+        w = draw(st.tuples(*[st.integers(1, 3)] * n))
+        for _ in range(draw(st.integers(2, 4))):
+            cuts = sorted(draw(st.lists(st.integers(0, c), min_size=n - 1, max_size=n - 1)))
+            parts = [hi - lo for lo, hi in zip([0] + cuts, cuts + [c])]
+            raw.add(tuple(wi * x for wi, x in zip(w, parts)))
+    pts = minimal(raw)[:most]
+    m = draw(st.integers(1, 3))
+    return Shape(n, tuple(tuple(F(c, m) for c in p) for p in pts))
+
+
+@settings(max_examples=150, deadline=None)
+@given(antichain_shapes())
+@example(Shape(4, tuple(tuple(F(c) for c in p) for p in [
+    # Pairs of rays whose shared zero set is also in a third ray's: adding
+    # their combination would give the non-facet (11, 24, 3, 3).x >= 30.
+    (0, 2, 0, 4), (0, 2, 2, 2), (0, 2, 4, 0), (3, 1, 2, 3), (3, 0, 5, 4),
+    (4, 2, 0, 0), (5, 1, 5, 1)])))
+def test_facets_match_naive_enumeration(sh):
+    assert sh.facets == naive_facets(sh.points)
+    for a, b in sh.facets:
+        assert min(a) >= 0 and b > 0 and math.gcd(*a) == 1
+
+
+def member_by_vertex_enumeration(sh, q):
+    k, n = len(sh.points), sh.num_vars
+    rows = [[g[i] for g in sh.points] for i in range(n)] + [[F(1)] * k]
+    return brute_force_feasible(rows, [LE] * n + [EQ], list(q) + [F(1)], k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(antichain_shapes(max_points=(5, 4, 3)), st.lists(
+    st.tuples(*[st.fractions(0, 4, max_denominator=3)] * 4), max_size=3))
+def test_contains_matches_vertex_enumeration(sh, extra):
+    n = sh.num_vars
+    queries = list(sh.points) + [q[:n] for q in extra]
+    for a, b in sh.facets:
+        tight = [p for p in sh.points if sum(x * c for x, c in zip(a, p)) == b]
+        on = tuple(sum(col) / len(tight) for col in zip(*tight))
+        queries.append(on)  # on the facet, so in P
+        i = next((i for i in range(n) if a[i] and on[i] >= F(1, 7)), None)
+        if i is not None:
+            queries.append(on[:i] + (on[i] - F(1, 7),) + on[i + 1:])
+    for q in queries:
+        assert contains(sh, q) == member_by_vertex_enumeration(sh, q), q
+
+
+def test_facet_self_check_fires():
+    pts = [(F(3), F(0)), (F(1), F(1)), (F(0), F(3))]
+    assert Shape(2, tuple(pts)).facets == (((1, 2), F(3)), ((2, 1), F(3)))
+    # Without the inequality of the generator (1, 1), double description
+    # returns the chord x + y >= 3, which (1, 1) violates.
+    chord = _facets(pts[::2])
+    assert chord == (((1, 1), F(3)),)
+    with pytest.raises(AssertionError, match="violated or not tight"):
+        _check_facets(pts, chord)
+    # An inequality tight on no generator.
+    with pytest.raises(AssertionError, match="violated or not tight"):
+        _check_facets(pts, (((1, 2), F(3)), ((2, 1), F(20, 7))))
+
+
+def test_volume_estimates_pinned_bit_for_bit(star_gin):
+    # The literal (estimate, stderr) pairs recorded in
+    # perfbench/goldens/volume.json under star-3-4-3/500 and star-3-5-3/500
+    # (the benchmark's volume seed is 1401).
+    pinned = {4: (0.7051851851851851, 0.007081419494537321),
+              5: (1.788888888888889, 0.023591168048160374)}
+    for s, expected in pinned.items():
+        sh = scaled(shape_of(star_gin(3, s, 3)), 3)
+        assert q_volume_estimate(sh, samples=500, seed=1401) == expected
 
 
 def test_q_area_simple_triangle():
@@ -176,11 +266,7 @@ def test_q_area_matches_clipping_oracle(star_gin):
 @settings(max_examples=60, deadline=None)
 @given(st.sets(st.tuples(st.integers(0, 7), st.integers(0, 7)), min_size=2, max_size=6))
 def test_q_area_matches_clipping_oracle_random(raw):
-    antichain = [
-        p
-        for p in sorted(raw)
-        if not any(o != p and o[0] <= p[0] and o[1] <= p[1] for o in raw)
-    ]
+    antichain = minimal(raw)
     if not any(p[1] == 0 for p in antichain) or not any(
         p[0] == 0 for p in antichain
     ):
