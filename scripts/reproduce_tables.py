@@ -32,6 +32,11 @@ def main() -> int:
     ap.add_argument("--cache", dest="cache_dir")
     ap.add_argument("--json", dest="json_path")
     args = ap.parse_args()
+    # verify_theorem needs m_max >= n: the simplex vertices are hit at m = n.
+    if args.m2 < 2:
+        ap.error("--m-max-2 must be at least 2")
+    if args.m3 < 3:
+        ap.error("--m-max-3 must be at least 3")
 
     cache = FileGinCache(args.cache_dir) if args.cache_dir else None
     grid = [(2, s, args.m2) for s in (3, 4, 5)] + [(3, s, args.m3) for s in (4, 5)]

@@ -51,7 +51,9 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--s", type=int, required=True, help="number of hyperplanes")
             p.add_argument("--mode", choices=("vandermonde", "seeded"), default="vandermonde")
         p.add_argument("--seed", type=int, default=0, help="64-bit master seed")
-        p.add_argument("--coeff-bound", type=int, default=1000, dest="coeff_bound")
+        p.add_argument("--coeff-bound", type=int, default=1000, dest="coeff_bound",
+                       help="bounds the seeded hyperplanes and the GIN coordinate "
+                       "changes alike; small values can make every GIN draw fail")
         p.add_argument("--json", dest="json_path", help="write a JSON report here")
         p.add_argument("--csv", dest="csv_path", help="write a CSV table here")
         p.add_argument("--cache", dest="cache_dir", help="result cache directory")

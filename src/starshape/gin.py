@@ -29,12 +29,20 @@ over Q instead (_free_columns), which is kept only as that fallback.
 
 Genericity of the random coordinate change is certified operationally: the
 whole computation runs under two independently seeded changes and must
-agree, and every result is checked to be Borel-fixed, to avoid the last
-variable, to reproduce the Hilbert function degree by degree, and to have
-the predicted finite colength.  Any failure triggers a redraw.  The second
-change is a witness, not part of the answer: in each degree with new
-generators its pivot profile is computed mod p only and must equal the
-exact profile of the first change.
+agree, and every result is checked (_validate) to be Borel-fixed, to avoid
+the last variable and to have the predicted finite colength.  Any failure
+triggers a redraw.  The second change is a witness, not part of the answer:
+in each degree with new generators its pivot profile is computed mod p only
+and must equal the exact profile of the first change.
+
+A result is its minimal generators; the Hilbert table, stop degree and
+colength are derived from them.  Checking that table degree by degree
+against the generators is a tautology: in each degree the pivots (kept
+columns minus free ones) are exactly the generators' standard monomials.
+One rule serves a cache hit: it answers the request (n, m, bound, and
+seeds_used one of the pairs the seed draws), passes the same _validate as
+a fresh result, and a file is byte for byte the document its generators
+define.  Anything else is a miss, recomputed and rewritten.
 """
 
 from __future__ import annotations
@@ -45,6 +53,7 @@ import os
 import tempfile
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 from .errors import GenericityError
 from .linalg import (
@@ -72,17 +81,16 @@ GIN_SCHEMA = "starshape.gin/1"
 class GinResult:
     """The generic initial ideal of one symbolic power.
 
-    min_generators lives in the n+1 ambient variables.  hf_table rows are
-    (d, dim of the symbolic power in degree d, quotient Hilbert function at
-    d) for d = 0..stop_degree.
+    min_generators lives in the n+1 ambient variables; all else is derived
+    from it, and deriving raises GenericityError when a minimal generator
+    involves the last variable or the colength is infinite.  hf_table rows
+    are (d, dim of the symbolic power in degree d, quotient Hilbert function
+    at d) for d = 0..stop_degree.
     """
 
     n: int
     m: int
     min_generators: MonomialIdeal
-    hf_table: tuple[tuple[int, int, int], ...]
-    stop_degree: int
-    colength: int
     seeds_used: tuple[int, int]
     bound: int
 
@@ -90,28 +98,52 @@ class GinResult:
     def artinian(self) -> MonomialIdeal:
         """The same ideal read in the first n variables (valid because no
         minimal generator involves the last one)."""
-        return self.min_generators.drop_last_variable()
+        gens = self.min_generators.generators
+        if any(g[-1] for g in gens):
+            raise GenericityError("a minimal generator involves the last variable")
+        return MonomialIdeal(self.n, [g[:-1] for g in gens])
+
+    @cached_property
+    def _hilbert_values(self) -> list[int]:
+        values = self.artinian.hilbert_values()
+        if values is None:
+            raise GenericityError("artinian reduction has infinite colength")
+        return values
+
+    @cached_property
+    def colength(self) -> int:
+        return sum(self._hilbert_values)
+
+    @cached_property
+    def stop_degree(self) -> int:
+        """Degree of the first zero of the artinian Hilbert function, where
+        the quotient Hilbert function of the symbolic power stops growing."""
+        return len(self._hilbert_values) - 1
+
+    @cached_property
+    def hf_table(self) -> tuple[tuple[int, int, int], ...]:
+        # Without generators in the last variable, the degree-d standard
+        # monomials are the artinian ones of degree <= d times a power of it.
+        return tuple(
+            (d, dimension_of_degree(self.n + 1, d) - q, q)
+            for d, q in enumerate(accumulate(self._hilbert_values))
+        )
 
     def t_vector(self) -> list[int]:
         """Minimal pure-power exponents t_1..t_n of the artinian reduction."""
-        ts = []
-        for i in range(1, self.n + 1):
-            p = self.artinian.pure_power_threshold(i)
-            if p is None:
-                raise GenericityError("missing pure power on axis %d" % i)
-            ts.append(p)
+        ts = [self.artinian.pure_power_threshold(i) for i in range(1, self.n + 1)]
+        if None in ts:
+            raise GenericityError(f"missing pure power on axis {ts.index(None) + 1}")
         return ts
 
     def alpha(self) -> int:
-        """Least degree with a nonzero element of the symbolic power."""
-        for d, dim_d, _ in self.hf_table:
-            if dim_d > 0:
-                return d
-        raise GenericityError("symbolic power appears to be zero")
+        """Least degree with a nonzero element of the symbolic power: the
+        least degree of a minimal generator."""
+        return min(sum(g) for g in self.min_generators.generators)
 
     def regularity(self) -> int:
         """Max degree of a minimal generator (= regularity, Borel-fixed case)."""
-        return self.min_generators.max_generator_degree()
+        return max(sum(g) for g in self.min_generators.generators)
 
 
 def _free_columns(
@@ -150,27 +182,25 @@ def _run_pair(
     z1 = transform_scheme(sch, g1).int_points
     z2 = transform_scheme(sch, g2).int_points
     gens: list[Exponents] = []
-    hf_table: list[tuple[int, int, int]] = []
-    prev_q: int | None = None
+    # Quotient Hilbert function by degree: the rank of the conditions.
+    qs: list[int] = []
     cap = m * (len(sch.points) + n) + k + 2
     d = 0
     while True:
-        total = dimension_of_degree(k, d)
         mons = monomials_of_degree(k, d)
         if d < m:
-            hf_d = 0
+            q = len(mons)
             new: list[Exponents] = []
         else:
             kept = [j for j, mon in enumerate(mons)
                     if not any(divides(g, mon) for g in gens)]
             if not kept:
-                hf_d = total
+                q = 0
                 new = []
             else:
                 sub = [mons[j] for j in kept]
                 rows = _condition_rows(z1, k, m, sub, d)
-                free1, rank = _settled_free_columns(rows, len(sub))
-                hf_d = total - rank
+                free1, q = _settled_free_columns(rows, len(sub))
                 if free1:
                     # New generators depend on the coordinate change; the
                     # second seed, a witness run mod p, must reproduce them.
@@ -185,73 +215,54 @@ def _run_pair(
                 else:
                     new = []
         gens.extend(new)
-        q = total - hf_d
-        hf_table.append((d, hf_d, q))
-        if d >= 1 and q == prev_q:
-            stop = d
+        qs.append(q)
+        if d >= 1 and q == qs[-2]:
             break
-        prev_q = q
         d += 1
         if d > cap:
             raise GenericityError(
                 f"Hilbert function failed to stabilize by degree {cap}"
             )
 
-    if any(g[-1] != 0 for g in gens):
-        raise GenericityError("a minimal generator involves the last variable")
-    min_generators = MonomialIdeal(k, gens)
-    if len(min_generators.generators) != len(gens):
-        raise GenericityError("generator set failed minimality")
-    colength = min_generators.drop_last_variable().colength()
-    if colength is None:
-        raise GenericityError("artinian reduction has infinite colength")
-    return GinResult(
-        n=n,
-        m=m,
-        min_generators=min_generators,
-        hf_table=tuple(hf_table),
-        stop_degree=stop,
-        colength=colength,
-        seeds_used=seeds,
-        bound=bound,
-    )
+    # Minimal by construction: no kept column is a multiple of an earlier
+    # generator, and distinct monomials of one degree never divide each other.
+    res = GinResult(n, m, MonomialIdeal(k, gens), seeds, bound)
+    if [q for _, _, q in res.hf_table] != qs:
+        raise GenericityError("Hilbert function of the generators differs from the ranks")
+    return res
 
 
 def _validate(res: GinResult, sch: FatPointScheme) -> None:
+    """The structural checks, alike for fresh results and cache hits.
+    Deriving the colength raises when a minimal generator involves the last
+    variable or the colength is infinite."""
+    colength = res.colength
     if not res.min_generators.is_borel_fixed():
         raise GenericityError("computed initial ideal is not Borel-fixed")
-    if res.colength != sch.fat_point_degree():
+    if colength != sch.fat_point_degree():
         raise GenericityError(
-            f"colength {res.colength} != expected {sch.fat_point_degree()}"
+            f"colength {colength} != expected {sch.fat_point_degree()}"
         )
-    for d, _, q in res.hf_table:
-        if res.min_generators.hilbert_function(d) != q:
-            raise GenericityError(
-                f"Hilbert functions of ideal and initial ideal differ at {d}"
-            )
 
 
-def _fits(res: GinResult, sch: FatPointScheme, bound: int) -> bool:
-    """Whether a cached result was computed for this request, has the
-    scheme's length, no generator in the last variable and a quotient
-    Hilbert column of the shape _run_pair leaves: row d at index d, 0 <= q_d
-    <= dim of degree d, no plateau before the last two entries, and those
-    equal to the colength.  Cheap checks only: the full _validate is not run
-    on cache hits."""
-    qs = [q for _, _, q in res.hf_table]
-    return (
-        (res.n, res.m, res.bound) == (sch.dim, sch.multiplicity, bound)
-        and res.colength == sch.fat_point_degree()
-        and not any(g[-1] for g in res.min_generators.generators)
-        and len(qs) >= 2
-        and all(
-            e == d and type(e) is type(q) is int
-            and 0 <= q <= dimension_of_degree(res.n + 1, d)
-            for d, (e, _, q) in enumerate(res.hf_table)
-        )
-        and all(a != b for a, b in zip(qs[:-2], qs[1:-1]))
-        and qs[-2] == qs[-1] == res.colength
-    )
+def _seed_pairs(seed: int, max_retries: int) -> list[tuple[int, int]]:
+    """The coordinate-change seed pairs compute_gin draws, in order."""
+    master = SeededRng(seed)
+    return [(master.next_u64(), master.next_u64()) for _ in range(max_retries)]
+
+
+def _serves(hit: GinResult, sch: FatPointScheme, bound: int, pairs: list) -> bool:
+    """Whether a cached result answers the request: its n, m and bound, one
+    of the seed pairs the request draws, and the same _validate as a fresh
+    result."""
+    request = (sch.dim, sch.multiplicity, bound)
+    if (hit.n, hit.m, hit.bound) != request or hit.seeds_used not in pairs:
+        return False
+    try:
+        _validate(hit, sch)
+    except GenericityError:
+        return False
+    return True
 
 
 def compute_gin(
@@ -266,20 +277,18 @@ def compute_gin(
     Runs every degree under two coordinate changes seeded independently
     from `seed` and requires identical results; redraws on disagreement or
     on any structural-invariant failure, up to max_retries pairs.
-    Deterministic given (scheme, seed, bound).  A cache hit for another
-    request or of the wrong length is recomputed and overwritten.
+    Deterministic given (scheme, seed, bound).  A cache hit that does not
+    answer the request is recomputed and overwritten.
     """
     key = cache_key(sch, seed, bound)
+    pairs = _seed_pairs(seed, max_retries)
     if cache is not None:
         hit = cache.get(key)
-        if hit is not None and _fits(hit, sch, bound):
+        if hit is not None and _serves(hit, sch, bound, pairs):
             return hit
     k = sch.dim + 1
-    master = SeededRng(seed)
     failures: list[str] = []
-    for _ in range(max_retries):
-        s1 = master.next_u64()
-        s2 = master.next_u64()
+    for s1, s2 in pairs:
         g1 = random_invertible_matrix(SeededRng(s1), k, bound)
         g2 = random_invertible_matrix(SeededRng(s2), k, bound)
         try:
@@ -321,25 +330,20 @@ def result_to_json(res: GinResult) -> dict:
 
 
 def result_from_json(doc: dict) -> GinResult:
+    """The result a document's generators define; result_to_json derives
+    every other field.  Numbers go through int(), so a document holding
+    other JSON numbers (true, 3.0) is not its canonical form."""
     if doc["schema"] != GIN_SCHEMA:
         raise ValueError(f"not a {GIN_SCHEMA} document")
-    n = doc["n"]
-    # The document's "generators" field is output only: GinResult derives
-    # the artinian generators from generators_full.  Of the Hilbert table
-    # only the quotient column q is read; dim_d = C(d + n, n) - q_d, and the
-    # table ends at the stop degree (_fits checks the column's shape).
-    hf_table = tuple(
-        (d, dimension_of_degree(n + 1, d) - q, q) for d, _, q in doc["hf_table"]
-    )
+    n = int(doc["n"])
     return GinResult(
         n=n,
-        m=doc["m"],
-        min_generators=MonomialIdeal(n + 1, [tuple(g) for g in doc["generators_full"]]),
-        hf_table=hf_table,
-        stop_degree=len(hf_table) - 1,
-        colength=int(doc["colength"]),
+        m=int(doc["m"]),
+        min_generators=MonomialIdeal(
+            n + 1, [tuple(map(int, g)) for g in doc["generators_full"]]
+        ),
         seeds_used=tuple(int(s) for s in doc["seeds_used"]),
-        bound=doc["bound"],
+        bound=int(doc["bound"]),
     )
 
 
@@ -389,12 +393,16 @@ class FileGinCache(GinCache):
         path = self._path(key)
         if not os.path.exists(path):
             return None
+        with open(path, "rb") as fh:
+            data = fh.read()
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                res = result_from_json(json.load(fh))
-        except (ValueError, KeyError, TypeError):
-            # Truncated, undecodable or schema-broken: a miss, so the caller
-            # recomputes and put() overwrites the file atomically.
+            res = result_from_json(json.loads(data))
+            canonical = json.dumps(result_to_json(res), sort_keys=True)
+        except Exception:
+            # Outside input: whatever fails to decode or derive is a miss,
+            # so the caller recomputes and put() overwrites the file.
+            return None
+        if data != canonical.encode("utf-8"):
             return None
         super().put(key, res)
         return res

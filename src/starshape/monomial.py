@@ -111,9 +111,6 @@ class MonomialIdeal:
             1 for u in monomials_of_degree(self.num_vars, d) if not self.contains(u)
         )
 
-    def max_generator_degree(self) -> int:
-        return max((sum(g) for g in self.generators), default=0)
-
     def pure_power_threshold(self, i: int) -> int | None:
         """Least p with x_i^p in the ideal (variable index 1..k), else None."""
         if not 1 <= i <= self.num_vars:
@@ -126,24 +123,22 @@ class MonomialIdeal:
                     best = p
         return best
 
-    def colength(self) -> int | None:
-        """Total number of standard monomials; None when infinite.
-
-        Finite exactly when every variable has a pure power in the ideal.
-        """
-        if not self.generators:
-            return None if self.num_vars >= 1 else 0
+    def hilbert_values(self) -> list[int] | None:
+        """Hilbert function of the quotient from degree 0 up to and including
+        its first zero; None when some variable has no pure power in the
+        ideal, exactly the case where it never reaches zero."""
         for i in range(1, self.num_vars + 1):
             if self.pure_power_threshold(i) is None:
                 return None
-        total = 0
-        d = 0
-        while True:
-            hf = self.hilbert_function(d)
-            if hf == 0:
-                return total
-            total += hf
-            d += 1
+        values = [self.hilbert_function(0)]
+        while values[-1]:
+            values.append(self.hilbert_function(len(values)))
+        return values
+
+    def colength(self) -> int | None:
+        """Total number of standard monomials; None when infinite."""
+        values = self.hilbert_values()
+        return None if values is None else sum(values)
 
     def is_borel_fixed(self) -> bool:
         """Strong stability: swapping any x_j in a generator for an earlier
@@ -159,13 +154,6 @@ class MonomialIdeal:
                     if not self.contains(tuple(moved)):
                         return False
         return True
-
-    def drop_last_variable(self) -> "MonomialIdeal":
-        """Restrict to the first k-1 variables; every generator must avoid
-        the last variable (the saturated-ideal situation)."""
-        if any(g[-1] != 0 for g in self.generators):
-            raise ValueError("a generator involves the last variable")
-        return MonomialIdeal(self.num_vars - 1, [g[:-1] for g in self.generators])
 
 
 def dimension_of_degree(num_vars: int, d: int) -> int:

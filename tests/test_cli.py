@@ -199,8 +199,8 @@ def test_internal_value_error_is_not_a_usage_error(monkeypatch):
 
 
 def test_star_ignores_edited_generators_in_cache_file(tmp_path, capsys):
-    # The artinian generators printed (and t) are derived from
-    # generators_full; the document's "generators" field is output only.
+    # The document is no longer the one its generators define, so it is a
+    # miss: recomputed and rewritten.
     cache = tmp_path / "cache"
     argv = ["star", "--n", "2", "--s", "3", "--m", "2", "--cache", str(cache)]
     assert main(argv) == 0
@@ -215,8 +215,8 @@ def test_star_ignores_edited_generators_in_cache_file(tmp_path, capsys):
 
 
 def test_star_ignores_edited_hilbert_table_in_cache_file(tmp_path, capsys):
-    # On a cache read the dimension column of hf_table and stop_degree are
-    # derived from the quotient column, whose shape is checked.
+    # hf_table and stop_degree are derived from the generators; a document
+    # whose copies disagree with them is a miss.
     cache = tmp_path / "cache"
     argv = ["star", "--n", "2", "--s", "3", "--m", "2", "--cache", str(cache), "--json"]
     assert main(argv + [str(tmp_path / "fresh.json")]) == 0

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
@@ -221,6 +222,7 @@ def test_file_cache_roundtrip(tmp_path):
     fresh = FileGinCache(str(tmp_path))
     b = compute_gin(sch, seed=1, cache=fresh)
     assert same_math(a, b) and a == b
+    assert FileGinCache(str(tmp_path)).get(cache_key(sch, 1, 1000)) == a
     assert len(list(tmp_path.glob("*.json"))) == 1
     assert not list(tmp_path.glob("*.tmp"))
 
@@ -384,41 +386,60 @@ def test_witness_mismatch_raises_and_compute_gin_redraws(monkeypatch):
     assert same_math(res, clean)
 
 
-@pytest.mark.parametrize(
-    "damage",
-    [
-        lambda text: text[: len(text) // 2],
-        lambda text: "",
-        lambda text: "\xff\xfe not json",
-        lambda text: json.dumps({"schema": "starshape.gin/1"}),
-        lambda text: text.replace("starshape.gin/1", "starshape.gin/0"),
-        lambda text: json.dumps([1, 2, 3]),
-        lambda text: text.replace('"generators_full": [', '"generators_full": [7, '),
-        lambda text: text.replace('"m": 2', '"m": 3'),
-        lambda text: text.replace('"bound": 1000', '"bound": 999'),
-        lambda text: text.replace('"colength": "9"', '"colength": "8"'),
-        lambda text: text.replace('"generators_full": [', '"generators_full": [[0, 0, 9], '),
-        lambda text: text.replace('"hf_table": [[0, 0, 1]', '"hf_table": [[0]'),
-        lambda text: text.replace("[2, 0, 6]", "[5, 0, 6]"),
-        lambda text: text.replace("[1, 0, 3]", "[1, 0, 4]"),
-        lambda text: text.replace("[2, 0, 6]", "[2, 0, 3]"),
-        lambda text: text.replace(", [4, 6, 9]", ""),
-        lambda text: text.replace("[4, 6, 9]", "[4, 6, 9], [5, 12, 9]"),
-        lambda text: text.replace("[1, 0, 3]", "[1, 0, 3.0]"),
-    ],
-    ids=["truncated", "empty", "not-json", "missing-keys", "wrong-schema", "not-object",
-         "bad-generator", "other-m", "other-bound", "wrong-colength", "last-variable",
-         "short-hf-row", "hf-row-index", "q-above-dimension", "q-early-plateau",
-         "q-no-plateau", "q-late-plateau", "q-not-int"],
-)
-def test_broken_cache_file_is_a_miss_and_gets_rewritten(tmp_path, damage):
+def edit_document(text, **fields):
+    doc = json.loads(text)
+    doc.update(fields)
+    return json.dumps(doc, sort_keys=True)
+
+
+def consistent_forgery(text):
+    # Every field agrees with the forged generators; only _validate (the
+    # ideal is not Borel-fixed) can tell.
+    res = result_from_json(json.loads(text))
+    forged = replace(res, min_generators=MonomialIdeal(3, [(3, 0, 0), (0, 3, 0)]))
+    return json.dumps(result_to_json(forged), sort_keys=True)
+
+
+DAMAGES = {
+    "truncated": lambda text: text[: len(text) // 2],
+    "empty": lambda text: "",
+    "not-json": lambda text: "\xff\xfe not json",
+    "missing-keys": lambda text: json.dumps({"schema": "starshape.gin/1"}),
+    "wrong-schema": lambda text: text.replace("starshape.gin/1", "starshape.gin/0"),
+    "not-object": lambda text: json.dumps([1, 2, 3]),
+    "bad-generator": lambda text: text.replace('"generators_full": [', '"generators_full": [7, '),
+    "other-m": lambda text: text.replace('"m": 2', '"m": 3'),
+    "other-bound": lambda text: text.replace('"bound": 1000', '"bound": 999'),
+    "wrong-colength": lambda text: text.replace('"colength": "9"', '"colength": "8"'),
+    "last-variable": lambda text: text.replace('"generators_full": [', '"generators_full": [[0, 0, 9], '),
+    "short-hf-row": lambda text: text.replace('"hf_table": [[0, 0, 1]', '"hf_table": [[0]'),
+    "hf-row-index": lambda text: text.replace("[2, 0, 6]", "[5, 0, 6]"),
+    "q-above-dimension": lambda text: text.replace("[1, 0, 3]", "[1, 0, 4]"),
+    "q-early-plateau": lambda text: text.replace("[2, 0, 6]", "[2, 0, 3]"),
+    "q-no-plateau": lambda text: text.replace(", [4, 6, 9]", ""),
+    "q-late-plateau": lambda text: text.replace("[4, 6, 9]", "[4, 6, 9], [5, 12, 9]"),
+    "q-not-int": lambda text: text.replace("[1, 0, 3]", "[1, 0, 3.0]"),
+    "q-within-shape": lambda text: text.replace("[2, 0, 6]", "[2, 0, 5]"),
+    "consistent-forgery": consistent_forgery,
+    "foreign-seeds": lambda text: edit_document(text, seeds_used=["1", "2"]),
+    "no-pure-power": lambda text: edit_document(text, generators_full=[[2, 0, 0], [1, 1, 0]]),
+}
+# Documents that are exactly what their generators define, so the cache
+# reads them back; compute_gin's request and _validate checks reject them.
+SELF_CONSISTENT = {"other-m", "other-bound", "foreign-seeds", "consistent-forgery"}
+
+
+@pytest.mark.parametrize("case", DAMAGES)
+def test_broken_cache_file_is_a_miss_and_gets_rewritten(tmp_path, case):
     sch = build_star(2, 3).scheme(2)
     good = compute_gin(sch, seed=1, cache=FileGinCache(str(tmp_path)))
     (path,) = tmp_path.glob("*.json")
     intact = path.read_bytes()
-    damaged = damage(intact.decode("utf-8"))
+    damaged = DAMAGES[case](intact.decode("utf-8"))
     assert damaged.encode("utf-8") != intact
     path.write_text(damaged, encoding="utf-8")
+    read = FileGinCache(str(tmp_path)).get(path.stem)
+    assert (read is not None) == (case in SELF_CONSISTENT)
     res = compute_gin(sch, seed=1, cache=FileGinCache(str(tmp_path)))
     assert res == good
     assert path.read_bytes() == intact
