@@ -20,12 +20,19 @@ length.
 The answer is exact over Q.  Each degree first runs the pivot profile mod a
 prime p (linalg.MODULUS).  Rows independent mod p are independent over Q,
 so a zero kernel mod p settles the degree exactly: it has no new generator.
-In every other degree the generators are the columns free mod p, once each
-has an exact kernel certificate: an integer vector, found by p-adic lifting,
-that uses only the column and the pivots scanned before it and vanishes
-exactly on every condition row (linalg.certified_free_columns).  If any
-certificate fails, the degree runs the exact fraction-free elimination
-over Q instead (_free_columns), which is kept only as that fallback.
+Full row rank mod p with the free columns the last ones scanned (the
+largest monomials) settles it too: no column suffix has more free columns
+over Q than mod p, and the ranks are equal, so those columns are the
+generators.  That is the profile of the last generator degree: there the
+rank is the scheme's length, the number of rows, and every standard
+monomial is divisible by the last variable while no generator is, so the
+generators come first in revlex.  In every other degree the generators
+are the columns free mod p, once each has an exact kernel certificate: an
+integer vector, found by p-adic lifting, that uses only the column and the
+pivots scanned before it and vanishes exactly on every condition row
+(linalg.certified_free_columns).  If any certificate fails, the degree
+runs the exact fraction-free elimination over Q instead (_free_columns),
+which is kept only as that fallback.
 
 Genericity of the random coordinate change is certified operationally: the
 whole computation runs under two independently seeded changes and must
@@ -162,9 +169,10 @@ def _settled_free_columns(
 ) -> tuple[list[int], int]:
     """What _free_columns returns, proved from the profile mod p.
 
-    A zero kernel mod p is exact; otherwise each free column mod p needs an
-    exact kernel certificate (linalg.certified_free_columns).  Any failure
-    runs the exact elimination over Q instead.
+    A zero kernel mod p is exact, and so is full row rank mod p with the
+    free columns the last ones scanned; otherwise each free column mod p
+    needs an exact kernel certificate (linalg.certified_free_columns).  Any
+    failure runs the exact elimination over Q instead.
     """
     settled = certified_free_columns(rows, ncols)
     return _free_columns(rows, ncols) if settled is None else settled

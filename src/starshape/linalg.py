@@ -4,12 +4,15 @@ The decision-critical computations in this package are ranks and pivot
 profiles of integer condition matrices, and every answer is exact.  A
 profile is computed mod a prime p (pivot_profile_mod_p) and then proved
 over Q (certified_free_columns): rows independent mod p are independent
-over Q, and each column free mod p gets an exact kernel vector, found by
-Dixon's p-adic lifting with rational reconstruction and checked exactly
-against every row.  When the proof fails, the exact fallback is a
-fraction-free row echelon over arbitrary-precision integers
-(cross-multiplication updates with per-row gcd stripping, which subsumes
-the Bareiss divisor and keeps entries near-minimal on structured rows).
+over Q.  Full row rank mod p with the free columns last in the scan needs
+no more: every column suffix has at most as many free columns over Q as
+mod p, and the two ranks are equal.  Otherwise each column free mod p
+gets an exact kernel vector, found by Dixon's p-adic lifting with
+rational reconstruction and checked exactly against every row.  When the
+proof fails, the exact fallback is a fraction-free row echelon over
+arbitrary-precision integers (cross-multiplication updates with per-row
+gcd stripping, which subsumes the Bareiss divisor and keeps entries
+near-minimal on structured rows).
 """
 
 from __future__ import annotations
@@ -349,10 +352,20 @@ def certified_free_columns(
     has the same rank over Q as mod p.  The candidates come from
     _lift_kernel; the square system it solves is the pivot rows of the
     final all-rows check, so nothing it returns is trusted unchecked.
+
+    One profile needs no certificates: rank len(rows) mod p with the free
+    columns exactly 0..k-1, the last ones scanned.  A minor nonzero mod p
+    is nonzero over Q, so rank_p(S) <= rank_Q(S) for every column suffix
+    S, and S has at most as many free columns over Q as mod p.  The suffix
+    k..ncols-1 has none mod p, so every column free over Q is below k.
+    And rank_Q <= len(rows) = rank_p, so the ranks are equal and exactly k
+    columns are free over Q: the columns 0..k-1.
     """
     free, pivots, pivot_rows = pivot_profile_mod_p(rows, ncols)
     if not free:
         return [], ncols
+    if len(pivots) == len(rows) and free[-1] == len(free) - 1:
+        return free, len(pivots)
     kernel = _lift_kernel(rows, free, pivots, pivot_rows)
     if kernel is None:
         return None

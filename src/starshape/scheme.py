@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import comb
+from math import comb, perm
+from operator import mul
 from typing import Sequence
 
 from .errors import DegenerateConfigurationError, SchemeFormatError
@@ -98,26 +99,28 @@ def _condition_rows(
     One row per (point, multi-index beta with |beta| = m-1); the entry at a
     degree-d monomial x^alpha is (d^beta x^alpha)(p), i.e. the falling
     factorial prod alpha_i!/(alpha_i-beta_i)! times p^(alpha-beta).
+
+    The product runs over the variables, so each point gets one factor
+    table per coordinate c_i, f_i[b][a] = a!/(a-b)! * c_i^(a-b) (0 when
+    b > a), read off at the monomials' i-th exponents; a beta-row is the
+    elementwise product of the table rows f_i[beta_i].
     """
     betas = monomials_of_degree(num_vars, multiplicity - 1)
+    exponents = [[alpha[i] for alpha in mons] for i in range(num_vars)]
     rows = []
     for p in points:
-        powers = [[1] * (max_degree + 1) for _ in range(num_vars)]
-        for i, c in enumerate(p):
-            for e in range(1, max_degree + 1):
-                powers[i][e] = powers[i][e - 1] * c
+        factors = []
+        for c, column in zip(p, exponents):
+            powers = [1]
+            for _ in range(max_degree):
+                powers.append(powers[-1] * c)
+            table = [[perm(a, b) * powers[a - b] if a >= b else 0
+                      for a in range(max_degree + 1)] for b in range(multiplicity)]
+            factors.append([[t[a] for a in column] for t in table])
         for beta in betas:
-            row = []
-            for alpha in mons:
-                entry = 1
-                for ai, bi, pw in zip(alpha, beta, powers):
-                    if bi > ai:
-                        entry = 0
-                        break
-                    for t in range(ai, ai - bi, -1):
-                        entry *= t
-                    entry *= pw[ai - bi]
-                row.append(entry)
+            row = factors[0][beta[0]]
+            for f, b in zip(factors[1:], beta[1:]):
+                row = list(map(mul, row, f[b]))
             rows.append(row)
     return rows
 

@@ -1,9 +1,11 @@
 """Independent oracles the tests compare the library against.
 
 The Fraction eliminations here share no code with the library.  The
-rank-based oracles (hf_symbolic, gin_degree, alpha) take their ranks from
-the library's exact fallback, linalg.echelon_int, never from the mod-p
-profile or its certificate, so they check the pipeline's fast path.  The
+rank-based oracles (hf_symbolic, gin_degree, alpha) build their condition
+rows entry by entry (naive_condition_rows), not with the library's factor
+tables, and take their ranks from the library's exact fallback,
+linalg.echelon_int, never from the mod-p profile or its certificate, so
+they check the pipeline's fast path.  The
 geometry oracles decide membership in a Newton polyhedron by vertex
 enumeration and find its facets by trying every candidate hyperplane.
 """
@@ -15,7 +17,7 @@ from itertools import combinations
 from starshape.linalg import echelon_int, random_invertible_matrix
 from starshape.monomial import dimension_of_degree, monomials_of_degree
 from starshape.rng import SeededRng
-from starshape.scheme import _condition_rows, transform_scheme
+from starshape.scheme import transform_scheme
 
 
 def naive_rref(rows, order):
@@ -66,12 +68,39 @@ def exact_free_columns(rows, ncols):
     return [j for j in range(ncols) if j not in pivots]
 
 
+def naive_condition_rows(points, num_vars, multiplicity, mons, max_degree):
+    """Rows of derivative-evaluation conditions, entry by entry: one row per
+    (point, beta with |beta| = m-1), the entry at x^alpha the falling
+    factorial prod alpha_i!/(alpha_i-beta_i)! times p^(alpha-beta)."""
+    betas = monomials_of_degree(num_vars, multiplicity - 1)
+    rows = []
+    for p in points:
+        powers = [[1] * (max_degree + 1) for _ in range(num_vars)]
+        for i, c in enumerate(p):
+            for e in range(1, max_degree + 1):
+                powers[i][e] = powers[i][e - 1] * c
+        for beta in betas:
+            row = []
+            for alpha in mons:
+                entry = 1
+                for ai, bi, pw in zip(alpha, beta, powers):
+                    if bi > ai:
+                        entry = 0
+                        break
+                    for t in range(ai, ai - bi, -1):
+                        entry *= t
+                    entry *= pw[ai - bi]
+                row.append(entry)
+            rows.append(row)
+    return rows
+
+
 def conditions_matrix(sch, d):
     """Rows of the order-m vanishing conditions on degree-d forms at the
     canonical (rational) point representatives; columns are the degree-d
     monomials in descending revlex order."""
     k = sch.dim + 1
-    return _condition_rows(sch.points, k, sch.multiplicity, monomials_of_degree(k, d), d)
+    return naive_condition_rows(sch.points, k, sch.multiplicity, monomials_of_degree(k, d), d)
 
 
 def symbolic_basis(sch, d):
@@ -88,7 +117,7 @@ def hf_symbolic(sch, d):
         return 0
     k = sch.dim + 1
     mons = monomials_of_degree(k, d)
-    rows = _condition_rows(sch.int_points, k, sch.multiplicity, mons, d)
+    rows = naive_condition_rows(sch.int_points, k, sch.multiplicity, mons, d)
     pivots, _ = echelon_int(rows, range(len(mons)), len(mons))
     return len(mons) - len(pivots)
 
@@ -110,7 +139,7 @@ def gin_degree(sch, d, g):
         return set()
     k = sch.dim + 1
     mons = monomials_of_degree(k, d)
-    rows = _condition_rows(transform_scheme(sch, g).int_points, k, sch.multiplicity, mons, d)
+    rows = naive_condition_rows(transform_scheme(sch, g).int_points, k, sch.multiplicity, mons, d)
     return {mons[j] for j in exact_free_columns(rows, len(mons))}
 
 

@@ -18,6 +18,7 @@ from oracles import (
     LE,
     brute_force_feasible,
     conditions_matrix,
+    naive_condition_rows,
     naive_rank_and_kernel,
     naive_rref,
 )
@@ -25,7 +26,7 @@ from starshape import gin
 from starshape.cli import main as cli_main
 from starshape.gin import compute_gin, result_to_json
 from starshape.monomial import monomials_of_degree
-from starshape.scheme import _condition_rows, build_star
+from starshape.scheme import build_star
 from starshape.shape import (
     AxisSimplex,
     avoids_interior,
@@ -296,7 +297,7 @@ def test_c9_rank_and_nullspace_against_naive_oracle(conic_scheme):
                 assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows)
             scan, _ = naive_rref(rows, range(ncols - 1, -1, -1))
             oracle_free = [j for j in range(ncols) if j not in scan]
-            int_rows = _condition_rows(sch.int_points, n + 1, m, monomials_of_degree(n + 1, d), d)
+            int_rows = naive_condition_rows(sch.int_points, n + 1, m, monomials_of_degree(n + 1, d), d)
             assert gin._settled_free_columns(int_rows, ncols) == (oracle_free, oracle_rank)
             assert gin._free_columns(int_rows, ncols) == (oracle_free, oracle_rank)
             if d >= m:

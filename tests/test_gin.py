@@ -312,17 +312,34 @@ def spy_on_q_elimination(monkeypatch):
     return calls
 
 
+def spy_on_lift(monkeypatch):
+    """The free columns of every _lift_kernel call, in order."""
+    calls = []
+
+    def counted(rows, free, pivots, pivot_rows):
+        calls.append(free)
+        return lift(rows, free, pivots, pivot_rows)
+
+    lift = linalg._lift_kernel
+    monkeypatch.setattr(linalg, "_lift_kernel", counted)
+    return calls
+
+
 def test_deciding_minor_divisible_by_p_takes_the_q_fallback(monkeypatch):
     # Columns 2 and 1 are independent over Q, but their minor is p: mod p,
     # column 1 is free and column 0 a pivot, the other way round over Q.
     # The lifted kernel vector of column 1 is (-p, 1, -1), which leans on
     # the pivot scanned after it, so the support check refuses it.
+    # Full row rank mod p alone does not skip the lift: the free column is
+    # not the last one scanned.
     rows = [[1, MODULUS + 1, 1], [0, 1, 1]]
     calls = spy_on_q_elimination(monkeypatch)
+    lifts = spy_on_lift(monkeypatch)
     assert free_columns_mod_p(rows, 3) == [1]
     assert certified_free_columns(rows, 3) is None
     assert gin._settled_free_columns(rows, 3) == ([0], 2)
     assert calls == [3]
+    assert lifts == [[1], [1]]
 
 
 @pytest.mark.parametrize(
@@ -345,6 +362,29 @@ def test_tampered_lift_is_refused_and_q_decides(monkeypatch, kernel):
     assert certified_free_columns(rows, 3) is None
     assert gin._settled_free_columns(rows, 3) == ([0, 2], 1)
     assert calls == [3]
+
+
+def test_last_generator_degree_of_a_star_power_needs_no_lift(monkeypatch):
+    # star(2,4) m=3 has generators in degrees 7 and 9.  In degree 9 the
+    # conditions have full row rank mod p and the free columns are the last
+    # ones scanned, which proves the profile; degree 7 still lifts.
+    degrees = []
+    lifted = []
+    rows_of, lift = gin._condition_rows, linalg._lift_kernel
+
+    def rows_spy(*args):
+        degrees.append(args[-1])
+        return rows_of(*args)
+
+    def lift_spy(*args):
+        lifted.append(degrees[-1])
+        return lift(*args)
+
+    monkeypatch.setattr(gin, "_condition_rows", rows_spy)
+    monkeypatch.setattr(linalg, "_lift_kernel", lift_spy)
+    res = compute_gin(build_star(2, 4).scheme(3), seed=2)
+    assert sorted({sum(g) for g in res.min_generators.generators}) == [7, 9]
+    assert lifted == [7]
 
 
 def test_generator_degrees_are_certified_without_q_elimination(monkeypatch):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import exact_free_columns, naive_rank_and_kernel, naive_rref
+from starshape import linalg
 from starshape.linalg import (
     MODULUS,
     certified_free_columns,
@@ -157,6 +158,26 @@ def low_rank_matrices(draw):
 @given(int_matrices(st.integers(-9, 9)) | low_rank_matrices())
 def test_certificate_proves_the_exact_profile(matrix):
     rows, ncols = matrix
+    free = exact_free_columns(rows, ncols)
+    assert certified_free_columns(rows, ncols) == (free, ncols - len(free))
+
+
+@pytest.mark.parametrize(
+    "rows, ncols",
+    [
+        # Scanned from the last column, columns 3 and 2 take both rows as
+        # pivots (the multiples of p are zeros mod p), so 1 and 0 are free.
+        ([[MODULUS + 1, 2, 3, MODULUS], [4, 5 * MODULUS, 0, 1]], 4),
+        # A multiple of p in a free column changes nothing.
+        ([[MODULUS, 1, 2]], 3),
+        ([], 3),
+    ],
+)
+def test_full_row_rank_with_free_columns_last_needs_no_lift(monkeypatch, rows, ncols):
+    def no_lift(*args):
+        raise AssertionError("this profile is proved without a lift")
+
+    monkeypatch.setattr(linalg, "_lift_kernel", no_lift)
     free = exact_free_columns(rows, ncols)
     assert certified_free_columns(rows, ncols) == (free, ncols - len(free))
 

@@ -7,13 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import conditions_matrix, hf_symbolic, naive_rank_and_kernel, symbolic_basis
+from oracles import (
+    conditions_matrix,
+    hf_symbolic,
+    naive_condition_rows,
+    naive_rank_and_kernel,
+    symbolic_basis,
+)
 from starshape.errors import SchemeFormatError
 from starshape.linalg import random_invertible_matrix
 from starshape.monomial import monomials_of_degree
 from starshape.rng import SeededRng
 from starshape.scheme import (
     FatPointScheme,
+    _condition_rows,
     build_star,
     load_points,
     normalize_point,
@@ -114,6 +121,27 @@ def test_conditions_matrix_matches_differentiation_oracle(raw_pts, m, d):
     except SchemeFormatError:
         return  # duplicates after normalization
     assert conditions_matrix(sch, d) == oracle_matrix(sch, d)
+
+
+coordinates_st = st.integers(-4, 4) | st.fractions(min_value=-3, max_value=3, max_denominator=5)
+
+
+@st.composite
+def condition_row_inputs(draw):
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 4))
+    d = draw(st.integers(0, 5))
+    point = st.tuples(*[coordinates_st] * (n + 1))
+    points = draw(st.lists(point, min_size=1, max_size=3))
+    mons = monomials_of_degree(n + 1, d)
+    kept = sorted(draw(st.sets(st.integers(0, len(mons) - 1))))
+    return points, n + 1, m, [mons[j] for j in kept], d
+
+
+@settings(max_examples=150, deadline=None)
+@given(condition_row_inputs())
+def test_condition_rows_match_the_entrywise_formula(args):
+    assert _condition_rows(*args) == naive_condition_rows(*args)
 
 
 def test_build_star_point_counts():
