@@ -1,55 +1,41 @@
-"""Degreewise computation of reverse-lexicographic generic initial ideals
-of symbolic powers of point ideals.
+"""Reverse-lexicographic generic initial ideals of symbolic powers of point
+ideals: one pivot profile mod p finds the ideal, exact certificates in its
+generator degrees prove it.
 
-No Groebner machinery: for a saturated zero-dimensional ideal every minimal
-generator of the generic initial ideal shows up by the degree where the
-quotient Hilbert function stabilizes, so the whole ideal is recovered from
-finitely many exact kernel computations.
+No Groebner machinery.  Order the degree-d monomials descending by revlex
+and scan the columns of the condition matrix from the *smallest* monomial
+up.  A kernel vector with leading (largest) monomial mu reduces, against
+kernel vectors led by the pivots below mu, to one supported on mu and
+smaller non-pivot columns; so the leading monomials of the kernel, the
+degree-d slice of the initial ideal, are exactly the non-pivot columns of
+that scan.  With some columns deleted up front, the non-pivot columns of
+the rest are the leading monomials of the kernel vectors supported on
+them, so they still lie in the initial ideal.
 
-The degree-d slice of the initial ideal is read off one elimination: order
-the degree-d monomials descending by revlex and scan the columns of the
-condition matrix from the *smallest* monomial up.  A kernel vector with
-leading (largest) monomial mu reduces, against kernel vectors led by the
-pivots below mu, to one supported on mu and smaller non-pivot columns; so
-the set of leading monomials of the kernel is exactly the set of non-pivot
-columns of that scan.  Columns already known to lie in the ideal (multiples
-of generators found in lower degrees) are provably leading monomials and
-are deleted up front, which keeps the matrices near the size of the scheme
-length.
-
-The answer is exact over Q.  Each degree first runs the pivot profile mod a
-prime p (linalg.MODULUS).  Rows independent mod p are independent over Q,
-so a zero kernel mod p settles the degree exactly: it has no new generator.
-Full row rank mod p with the free columns the last ones scanned (the
-largest monomials) settles it too: no column suffix has more free columns
-over Q than mod p, and the ranks are equal, so those columns are the
-generators.  That is the profile of the last generator degree: there the
-rank is the scheme's length, the number of rows, and every standard
-monomial is divisible by the last variable while no generator is, so the
-generators come first in revlex.  In every other degree the generators
-are the columns free mod p, once each has an exact kernel certificate: an
-integer vector, found by p-adic lifting, that uses only the column and the
-pivots scanned before it and vanishes exactly on every condition row
-(linalg.certified_free_columns).  If any certificate fails, the degree
-runs the exact fraction-free elimination over Q instead (_free_columns),
-which is kept only as that fallback.
+One profile mod a prime p (linalg.MODULUS) finds the ideal: for a
+saturated ideal in generic coordinates no minimal generator of the revlex
+initial ideal involves the last variable (Bayer-Stillman), so all of it
+shows up in the first degree D where the rank of the conditions reaches
+the scheme's length (_run_pair).  That profile is only a guess.  The
+answer is exact over Q because each degree where the guess has generators
+is proved (_settled_free_columns: a certificate from the profile mod p, or
+exact elimination as the fallback), and the colength check of _validate
+closes the argument.
 
 Genericity of the random coordinate change is certified operationally: the
-whole computation runs under two independently seeded changes and must
-agree, and every result is checked (_validate) to be Borel-fixed, to avoid
-the last variable and to have the predicted finite colength.  Any failure
-triggers a redraw.  The second change is a witness, not part of the answer:
-in each degree with new generators its pivot profile is computed mod p only
-and must equal the exact profile of the first change.
+candidate is found under two independently seeded changes and must agree,
+and every result is checked (_validate) to be Borel-fixed, to avoid the
+last variable and to have the predicted finite colength.  Any failure
+triggers a redraw.  The second change is a witness, not part of the
+answer: its profile mod p in degree D must have the same free columns as
+the first change's.
 
 A result is its minimal generators; the Hilbert table, stop degree and
-colength are derived from them.  Checking that table degree by degree
-against the generators is a tautology: in each degree the pivots (kept
-columns minus free ones) are exactly the generators' standard monomials.
-One rule serves a cache hit: it answers the request (n, m, bound, and
-seeds_used one of the pairs the seed draws), passes the same _validate as
-a fresh result, and a file is byte for byte the document its generators
-define.  Anything else is a miss, recomputed and rewritten.
+colength are derived from them.  One rule serves a cache hit: it answers
+the request (n, m, bound, and seeds_used one of the pairs the seed draws),
+passes the same _validate as a fresh result, and a file is byte for byte
+the document its generators define.  Anything else is a miss, recomputed
+and rewritten.
 """
 
 from __future__ import annotations
@@ -71,7 +57,6 @@ from .linalg import (
     random_invertible_matrix,
 )
 from .monomial import (
-    Exponents,
     MonomialIdeal,
     dimension_of_degree,
     divides,
@@ -185,59 +170,73 @@ def _run_pair(
     seeds: tuple[int, int],
     bound: int,
 ) -> GinResult:
+    """The initial ideal of the scheme's symbolic power after the change g1,
+    found from one profile mod p and proved in its generator degrees; g2 is
+    the witness.  x_k is the last of the k = n+1 variables.
+
+    1. In every degree d >= m-1 there are exactly `length` condition rows
+       (below m-1 they are not the conditions, by Euler's relation), and
+       their rank is the quotient Hilbert function, at most `length`.  The
+       search profiles all degree-d monomials mod p, from the least such d
+       with at least `length` of them, and stops at the first degree D
+       where the rank is `length`.
+    2. Because in(I) : x_k = in(I), the free columns at D with x_k stripped
+       are in(I)'s monomials of degree at most D in x_1..x_n; and since the
+       rank is `length`, the artinian Hilbert function vanishes above D, so
+       every degree-(D+1) monomial in x_1..x_n lies in in(I) too.  Together
+       they generate the candidate J.
+    3. The witness profile of g2 at D must have the same free columns.
+    4. In each degree e of a generator of J, ascending, the columns are the
+       degree-e monomials that no lower-degree generator of J divides.
+       Their free columns over Q (_settled_free_columns) lie in in(I), and
+       they must be exactly J's degree-e generators.  So J is in in(I).
+       (Below degree m-1 the rows vanish and every column is free, x_k^e
+       among them, so a generator there fails this check; in degree 0 it
+       is the unit ideal, which fails the colength check below.)
+
+    That is a proof over Q, whatever the profiles mod p did: by revlex,
+    in(I + x_k) = in(I) + x_k, and R/(I + x_k) has length at least
+    `length`, with equality exactly when x_k is a nonzerodivisor.  So the
+    x_k-free part of in(I) has colength at least `length`.  J lies inside
+    it, and once _validate has checked that J's colength is `length`, J is
+    all of it, x_k is a nonzerodivisor and J = in(I).  A wrong guess fails
+    step 3, step 4 or that check and triggers a redraw.
+    """
     n, m = sch.dim, sch.multiplicity
     k = n + 1
     z1 = transform_scheme(sch, g1).int_points
     z2 = transform_scheme(sch, g2).int_points
-    gens: list[Exponents] = []
-    # Quotient Hilbert function by degree: the rank of the conditions.
-    qs: list[int] = []
+    length = sch.fat_point_degree()
     cap = m * (len(sch.points) + n) + k + 2
-    d = 0
+    d = m - 1
+    while dimension_of_degree(k, d) < length:
+        d += 1
     while True:
         mons = monomials_of_degree(k, d)
-        if d < m:
-            q = len(mons)
-            new: list[Exponents] = []
-        else:
-            kept = [j for j, mon in enumerate(mons)
-                    if not any(divides(g, mon) for g in gens)]
-            if not kept:
-                q = 0
-                new = []
-            else:
-                sub = [mons[j] for j in kept]
-                rows = _condition_rows(z1, k, m, sub, d)
-                free1, q = _settled_free_columns(rows, len(sub))
-                if free1:
-                    # New generators depend on the coordinate change; the
-                    # second seed, a witness run mod p, must reproduce them.
-                    # (A zero kernel is change-independent, so it needs no
-                    # witness.)
-                    rows2 = _condition_rows(z2, k, m, sub, d)
-                    if free_columns_mod_p(rows2, len(sub)) != free1:
-                        raise GenericityError(
-                            f"coordinate changes disagree in degree {d}"
-                        )
-                    new = [sub[j] for j in free1]
-                else:
-                    new = []
-        gens.extend(new)
-        qs.append(q)
-        if d >= 1 and q == qs[-2]:
+        free = free_columns_mod_p(_condition_rows(z1, k, m, mons, d), len(mons))
+        if len(mons) - len(free) == length:
             break
         d += 1
         if d > cap:
             raise GenericityError(
                 f"Hilbert function failed to stabilize by degree {cap}"
             )
-
-    # Minimal by construction: no kept column is a multiple of an earlier
-    # generator, and distinct monomials of one degree never divide each other.
-    res = GinResult(n, m, MonomialIdeal(k, gens), seeds, bound)
-    if [q for _, _, q in res.hf_table] != qs:
-        raise GenericityError("Hilbert function of the generators differs from the ranks")
-    return res
+    if free_columns_mod_p(_condition_rows(z2, k, m, mons, d), len(mons)) != free:
+        raise GenericityError(f"coordinate changes disagree in degree {d}")
+    candidate = MonomialIdeal(
+        k,
+        [mons[j][:-1] + (0,) for j in free]
+        + [u + (0,) for u in monomials_of_degree(n, d + 1)],
+    )
+    gens = candidate.generators
+    for e in sorted({sum(g) for g in gens}):
+        lower = [g for g in gens if sum(g) < e]
+        sub = [u for u in monomials_of_degree(k, e)
+               if not any(divides(g, u) for g in lower)]
+        proved, _ = _settled_free_columns(_condition_rows(z1, k, m, sub, e), len(sub))
+        if [sub[j] for j in proved] != [g for g in gens if sum(g) == e]:
+            raise GenericityError(f"degree-{e} generators fail the proof over Q")
+    return GinResult(n, m, candidate, seeds, bound)
 
 
 def _validate(res: GinResult, sch: FatPointScheme) -> None:

@@ -135,11 +135,6 @@ class MonomialIdeal:
             values.append(self.hilbert_function(len(values)))
         return values
 
-    def colength(self) -> int | None:
-        """Total number of standard monomials; None when infinite."""
-        values = self.hilbert_values()
-        return None if values is None else sum(values)
-
     def is_borel_fixed(self) -> bool:
         """Strong stability: swapping any x_j in a generator for an earlier
         x_i (i < j) stays inside the ideal (characteristic-0 criterion)."""

@@ -1,7 +1,9 @@
 import json
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -61,16 +63,29 @@ def test_golden_star23_m2(star_gin):
     assert res.regularity() == 4
 
 
-def test_single_point_powers_of_maximal_ideal():
-    for n, m in [(2, 1), (2, 3), (3, 2)]:
-        star = build_star(n, n)
-        res = compute_gin(star.scheme(m), seed=5)
+def test_single_point_powers_of_maximal_ideal(monkeypatch):
+    # One point has length C(n+m-1, n), the number of degree-(m-1)
+    # monomials: the search starts and stops at d = m-1, where the square
+    # conditions have full rank and no free column, so the candidate is
+    # every degree-m monomial in x_1..x_n.
+    profiles = []
+    mod_p = gin.free_columns_mod_p
+
+    def spy(rows, ncols):
+        profiles.append((ncols, mod_p(rows, ncols)))
+        return profiles[-1][1]
+
+    monkeypatch.setattr(gin, "free_columns_mod_p", spy)
+    for n, m in product(range(1, 5), range(1, 5)):
+        profiles.clear()
+        res = compute_gin(build_star(n, n).scheme(m), seed=5)
         expected = MonomialIdeal(
             n + 1, [u + (0,) for u in monomials_of_degree(n, m)]
         )
         assert res.min_generators == expected
         assert res.stop_degree == m
         assert res.colength == comb(n + m - 1, n)
+        assert profiles == [(comb(n + m - 1, n), [])] * 2
 
 
 def test_gin_degree_examples(star_gin):
@@ -399,23 +414,74 @@ def test_generator_degrees_are_certified_without_q_elimination(monkeypatch):
         assert slice_d == gin_degree(sch, d, g)
 
 
+def test_proofs_run_only_in_the_generator_degrees(monkeypatch):
+    # star(2,4) m=3 has length 36 and generators in degrees 7 and 9.  The
+    # search starts at 7, the least degree with 36 monomials, and the rank
+    # reaches 36 at D = 8; the witness profiles 8, and only 7 and 9 are
+    # proved.
+    rows_at, proved_at = [], []
+    rows_of, settle = gin._condition_rows, gin._settled_free_columns
+
+    def rows_spy(*args):
+        rows_at.append(args[-1])
+        return rows_of(*args)
+
+    def settle_spy(*args):
+        proved_at.append(rows_at[-1])
+        return settle(*args)
+
+    monkeypatch.setattr(gin, "_condition_rows", rows_spy)
+    monkeypatch.setattr(gin, "_settled_free_columns", settle_spy)
+    sch = build_star(2, 4).scheme(3)
+    res = compute_gin(sch, seed=2)
+    assert sorted({sum(g) for g in res.min_generators.generators}) == [7, 9]
+    assert rows_at == [7, 8, 8, 7, 9]
+    assert proved_at == [7, 9]
+    assert min(rows_at) >= sch.multiplicity - 1
+
+
+def test_candidate_missing_a_generator_fails_the_proof(monkeypatch):
+    # star(2,3) m=2 reaches its length 9 at D = 3, where the one free
+    # column is x1^3, column 0.  Both profiles make it a pivot and free
+    # x1^2 x2 instead, as a prime dividing a deciding minor could: the rank
+    # and the witness agree, but the candidate lacks the generator x1^3,
+    # and the proof over Q in degree 3 refuses it.
+    sch = build_star(2, 3).scheme(2)
+    clean = compute_gin(sch, seed=1)
+    mod_p = gin.free_columns_mod_p
+
+    def moved_generator(rows, ncols):
+        free = mod_p(rows, ncols)
+        return [1] if free == [0] else free
+
+    monkeypatch.setattr(gin, "free_columns_mod_p", moved_generator)
+    g1, g2 = coordinate_change_for(clean, 0), coordinate_change_for(clean, 1)
+    with pytest.raises(GenericityError, match="degree-3 generators fail the proof"):
+        gin._run_pair(sch, g1, g2, clean.seeds_used, clean.bound)
+    with pytest.raises(GenericityError, match="after 3 attempts"):
+        compute_gin(sch, seed=1)
+
+
 def test_witness_mismatch_raises_and_compute_gin_redraws(monkeypatch):
     sch = build_star(2, 3).scheme(2)
     clean = compute_gin(sch, seed=1)
     mod_p, run_pair = gin.free_columns_mod_p, gin._run_pair
-    pairs = []
+    profiles, pairs = [], []
 
-    def phantom_free_column(rows, ncols):
-        # Until a second pair is drawn: seed 1 always takes the exact path,
-        # and every seed-2 witness disagrees with it.
+    def phantom_witness_column(rows, ncols):
+        # star(2,3) m=2 finds D = 3 at once, so every pair profiles twice:
+        # the g1 search, then the g2 witness.  Until a second pair is
+        # drawn, the witness gains a phantom free column.
+        profiles.append(ncols)
         free = mod_p(rows, ncols)
-        return free + [ncols] if len(pairs) <= 1 else free
+        witness = len(profiles) % 2 == 0
+        return free + [ncols] if witness and len(pairs) <= 1 else free
 
     def counting_run_pair(*args):
         pairs.append(args[3])
         return run_pair(*args)
 
-    monkeypatch.setattr(gin, "free_columns_mod_p", phantom_free_column)
+    monkeypatch.setattr(gin, "free_columns_mod_p", phantom_witness_column)
     g1, g2 = coordinate_change_for(clean, 0), coordinate_change_for(clean, 1)
     with pytest.raises(GenericityError, match="disagree in degree 3"):
         gin._run_pair(sch, g1, g2, clean.seeds_used, clean.bound)
@@ -424,6 +490,20 @@ def test_witness_mismatch_raises_and_compute_gin_redraws(monkeypatch):
     assert len(pairs) == 2 and pairs[0] == clean.seeds_used
     assert res.seeds_used == pairs[1] != clean.seeds_used
     assert same_math(res, clean)
+    assert profiles == [10] * 6
+
+
+GOLDENS = Path(__file__).resolve().parents[1] / "perfbench" / "goldens" / "gin.json"
+
+
+def test_cheap_powers_match_the_benchmark_goldens(star_gin):
+    goldens = json.loads(GOLDENS.read_text(encoding="utf-8"))
+    cases = [(2, 4, 4), (2, 5, 3), (3, 4, 2), (3, 5, 2)]
+    for n, s, m_max in cases:
+        for m in range(1, m_max + 1):
+            doc = result_to_json(star_gin(n, s, m))
+            del doc["seeds_used"]
+            assert doc == goldens[f"star-{n}-{s}-{m}"], (n, s, m)
 
 
 def edit_document(text, **fields):

@@ -92,22 +92,11 @@ def test_hilbert_function_examples():
     assert [g.hilbert_function(d) for d in range(5)] == [1, 2, 3, 3, 0]
 
 
-def test_colength_examples():
-    assert MonomialIdeal(2, [(1, 0), (0, 1)]).colength() == 1
-    assert MonomialIdeal(2, [(2, 0)]).colength() is None
-    assert MonomialIdeal(2, GIN23_M2).colength() == 9
-
-
 def test_hilbert_values_stop_at_first_zero():
     assert MonomialIdeal(2, GIN23_M2).hilbert_values() == [1, 2, 3, 3, 0]
     assert MonomialIdeal(2, [(1, 0), (0, 1)]).hilbert_values() == [1, 0]
     assert MonomialIdeal(2, [(2, 0), (1, 1)]).hilbert_values() is None
     assert MonomialIdeal(2, []).hilbert_values() is None
-
-
-def test_colength_is_sum_of_hilbert_function():
-    g = MonomialIdeal(2, GIN23_M2)
-    assert g.colength() == sum(g.hilbert_function(d) for d in range(10))
 
 
 def test_pure_power_threshold_examples():
