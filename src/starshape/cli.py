@@ -86,13 +86,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _cache_dir(args) -> str | None:
+    """The cache directory from --cache or the environment, unless --no-cache."""
+    return None if args.no_cache else args.cache_dir or os.environ.get(CACHE_ENV)
+
+
 def _cache_from(args) -> GinCache | None:
-    if args.no_cache:
-        return None
-    directory = args.cache_dir or os.environ.get(CACHE_ENV)
-    if directory:
-        return FileGinCache(directory)
-    return None
+    directory = _cache_dir(args)
+    return FileGinCache(directory) if directory else None
 
 
 def _write(path: str, text: str) -> None:
@@ -162,6 +163,14 @@ def _check_common(args, parser) -> None:
         parser.error("need --s >= --n >= 1")
     if args.coeff_bound < 2:
         parser.error("--coeff-bound must be at least 2")
+    directory = _cache_dir(args)
+    if directory and os.path.exists(directory) and not os.path.isdir(directory):
+        parser.error(f"cache path {directory} exists and is not a directory")
+    for flag in ("json", "csv", "svg"):
+        path = getattr(args, f"{flag}_path", None)
+        if path and (os.path.isdir(path)
+                     or not os.path.isdir(os.path.dirname(os.path.abspath(path)))):
+            parser.error(f"--{flag}: cannot write a file at {path}")
 
 
 def _check_svg(args, n: int, parser) -> None:

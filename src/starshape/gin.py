@@ -18,17 +18,21 @@ initial ideal involves the last variable (Bayer-Stillman), so all of it
 shows up in the first degree D where the rank of the conditions reaches
 the scheme's length (_run_pair).  That profile is only a guess.  The
 answer is exact over Q because each degree where the guess has generators
-is proved (_settled_free_columns: a certificate from the profile mod p, or
-exact elimination as the fallback), and the colength check of _validate
+is proved by a certificate from its profile mod p
+(linalg.certified_free_columns), and the colength check of _validate
 closes the argument.
 
 Genericity of the random coordinate change is certified operationally: the
 candidate is found under two independently seeded changes and must agree,
-and every result is checked (_validate) to be Borel-fixed, to avoid the
-last variable and to have the predicted finite colength.  Any failure
-triggers a redraw.  The second change is a witness, not part of the
-answer: its profile mod p in degree D must have the same free columns as
-the first change's.
+its generator degrees must be proved over Q, and every result is checked
+(_validate) to be Borel-fixed, to avoid the last variable and to have the
+predicted finite colength.  Any failure triggers a redraw.  That includes
+a certificate that fails: it fails only when p divides a minor that
+decides the first change's profile, or when a rational reconstruction is
+false (about 2**-40) and the exact check refuses it, and both depend on
+the draw.  The second change is a witness, not part of the answer: its
+profile mod p in degree D must have the same free columns as the first
+change's.
 
 A result is its minimal generators; the Hilbert table, stop degree and
 colength are derived from them.  One rule serves a cache hit: it answers
@@ -51,7 +55,6 @@ from itertools import accumulate
 from .errors import GenericityError
 from .linalg import (
     certified_free_columns,
-    echelon_int,
     format_rational,
     free_columns_mod_p,
     random_invertible_matrix,
@@ -138,31 +141,6 @@ class GinResult:
         return max(sum(g) for g in self.min_generators.generators)
 
 
-def _free_columns(
-    rows: list[list[int]], ncols: int
-) -> tuple[list[int], int]:
-    """Non-pivot columns under the smallest-monomial-first scan, and rank,
-    by exact elimination over Q."""
-    pivots, _ = echelon_int(rows, range(ncols - 1, -1, -1), ncols)
-    pivot_set = set(pivots)
-    free = [j for j in range(ncols) if j not in pivot_set]
-    return free, len(pivots)
-
-
-def _settled_free_columns(
-    rows: list[list[int]], ncols: int
-) -> tuple[list[int], int]:
-    """What _free_columns returns, proved from the profile mod p.
-
-    A zero kernel mod p is exact, and so is full row rank mod p with the
-    free columns the last ones scanned; otherwise each free column mod p
-    needs an exact kernel certificate (linalg.certified_free_columns).  Any
-    failure runs the exact elimination over Q instead.
-    """
-    settled = certified_free_columns(rows, ncols)
-    return _free_columns(rows, ncols) if settled is None else settled
-
-
 def _run_pair(
     sch: FatPointScheme,
     g1: list[list[int]],
@@ -188,8 +166,9 @@ def _run_pair(
     3. The witness profile of g2 at D must have the same free columns.
     4. In each degree e of a generator of J, ascending, the columns are the
        degree-e monomials that no lower-degree generator of J divides.
-       Their free columns over Q (_settled_free_columns) lie in in(I), and
-       they must be exactly J's degree-e generators.  So J is in in(I).
+       Their free columns over Q, proved by linalg.certified_free_columns,
+       lie in in(I), and they must be exactly J's degree-e generators.  So
+       J is in in(I).  A certificate that fails fails this step.
        (Below degree m-1 the rows vanish and every column is free, x_k^e
        among them, so a generator there fails this check; in degree 0 it
        is the unit ideal, which fails the colength check below.)
@@ -199,8 +178,9 @@ def _run_pair(
     `length`, with equality exactly when x_k is a nonzerodivisor.  So the
     x_k-free part of in(I) has colength at least `length`.  J lies inside
     it, and once _validate has checked that J's colength is `length`, J is
-    all of it, x_k is a nonzerodivisor and J = in(I).  A wrong guess fails
-    step 3, step 4 or that check and triggers a redraw.
+    all of it, x_k is a nonzerodivisor and J = in(I).  A wrong guess, or a
+    certificate that fails under g1, fails step 3, step 4 or that check and
+    triggers a redraw.
     """
     n, m = sch.dim, sch.multiplicity
     k = n + 1
@@ -233,8 +213,8 @@ def _run_pair(
         lower = [g for g in gens if sum(g) < e]
         sub = [u for u in monomials_of_degree(k, e)
                if not any(divides(g, u) for g in lower)]
-        proved, _ = _settled_free_columns(_condition_rows(z1, k, m, sub, e), len(sub))
-        if [sub[j] for j in proved] != [g for g in gens if sum(g) == e]:
+        proved = certified_free_columns(_condition_rows(z1, k, m, sub, e), len(sub))
+        if proved is None or [sub[j] for j in proved] != [g for g in gens if sum(g) == e]:
             raise GenericityError(f"degree-{e} generators fail the proof over Q")
     return GinResult(n, m, candidate, seeds, bound)
 

@@ -8,11 +8,11 @@ over Q.  Full row rank mod p with the free columns last in the scan needs
 no more: every column suffix has at most as many free columns over Q as
 mod p, and the two ranks are equal.  Otherwise each column free mod p
 gets an exact kernel vector, found by Dixon's p-adic lifting with
-rational reconstruction and checked exactly against every row.  When the
-proof fails, the exact fallback is a fraction-free row echelon over
-arbitrary-precision integers (cross-multiplication updates with per-row
-gcd stripping, which subsumes the Bareiss divisor and keeps entries
-near-minimal on structured rows).
+rational reconstruction and checked exactly against every row.  There is
+no exact elimination of a condition matrix to fall back on: a proof that
+fails is reported, and the caller redraws its coordinate change.  The only
+exact elimination is determinant (Bareiss), on the small square matrices
+of coordinate changes and hyperplane systems.
 """
 
 from __future__ import annotations
@@ -57,61 +57,6 @@ def clear_denominators(row: Sequence[Fraction | int]) -> list[int]:
     if g > 1:
         ints = [v // g for v in ints]
     return ints
-
-
-def _strip_gcd(row: list, start_cols: Sequence[int]) -> None:
-    g = 0
-    for j in start_cols:
-        v = row[j]
-        if v:
-            g = math.gcd(g, v)
-            if g == 1:
-                return
-    if g > 1:
-        for j in start_cols:
-            if row[j]:
-                row[j] //= g
-
-
-def echelon_int(
-    rows: list[list[int]], order: Sequence[int], ncols: int
-) -> tuple[list[int], list[list[int]]]:
-    """Fraction-free forward elimination with pivot scan along `order`.
-
-    Returns (pivot columns in scan order, echelon rows aligned with them).
-    Columns outside `order` are carried along but never pivoted.  Input rows
-    are left untouched.
-    """
-    work = [list(r) for r in rows]
-    extras = sorted(set(range(ncols)) - set(order))
-    pivots: list[int] = []
-    r = 0
-    for idx, c in enumerate(order):
-        piv = None
-        for i in range(r, len(work)):
-            if work[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        prow = work[r]
-        a = prow[c]
-        tail = list(order[idx + 1 :]) + extras
-        for i in range(r + 1, len(work)):
-            row = work[i]
-            b = row[c]
-            if not b:
-                continue
-            row[c] = 0
-            for j in tail:
-                row[j] = a * row[j] - b * prow[j]
-            _strip_gcd(row, tail)
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    return pivots, work[:r]
 
 
 MODULUS = 1073741789  # the largest prime below 2**30
@@ -339,9 +284,9 @@ def _lift_kernel(
 
 def certified_free_columns(
     rows: Sequence[Sequence[int]], ncols: int
-) -> tuple[list[int], int] | None:
-    """Non-pivot columns and rank of the last-column-first scan over Q,
-    proved from the profile mod p; None when the proof fails.
+) -> list[int] | None:
+    """Non-pivot columns of the last-column-first scan over Q, proved from
+    the profile mod p; None when the proof fails.
 
     The mod-p pivots of every suffix of columns are independent mod p,
     hence over Q.  So the two profiles agree once every mod-p free column
@@ -363,9 +308,9 @@ def certified_free_columns(
     """
     free, pivots, pivot_rows = pivot_profile_mod_p(rows, ncols)
     if not free:
-        return [], ncols
+        return []
     if len(pivots) == len(rows) and free[-1] == len(free) - 1:
-        return free, len(pivots)
+        return free
     kernel = _lift_kernel(rows, free, pivots, pivot_rows)
     if kernel is None:
         return None
@@ -377,7 +322,28 @@ def certified_free_columns(
             return None
         if any(sum(map(mul, row, v)) for row in rows):
             return None
-    return free, len(pivots)
+    return free
+
+
+def determinant(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix by Bareiss elimination: the
+    entries after step c are (c+1) x (c+1) minors, so every division by
+    the previous pivot is exact."""
+    work = [list(r) for r in rows]
+    sign, prev = 1, 1
+    for c in range(len(work)):
+        k = next((i for i in range(c, len(work)) if work[i][c]), None)
+        if k is None:
+            return 0
+        if k != c:
+            work[c], work[k] = work[k], work[c]
+            sign = -sign
+        prow, a = work[c], work[c][c]
+        for i in range(c + 1, len(work)):
+            b = work[i][c]
+            work[i] = [(a * x - b * y) // prev for x, y in zip(work[i], prow)]
+        prev = a
+    return sign * prev
 
 
 def random_invertible_matrix(
@@ -392,7 +358,6 @@ def random_invertible_matrix(
         rows = [
             [rng.next_int(-bound, bound) for _ in range(size)] for _ in range(size)
         ]
-        pivots, _ = echelon_int(rows, range(size), size)
-        if len(pivots) == size:
+        if determinant(rows):
             return rows
     raise RuntimeError("could not draw an invertible matrix in 100 attempts")

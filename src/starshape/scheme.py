@@ -25,7 +25,7 @@ from operator import mul
 from typing import Sequence
 
 from .errors import DegenerateConfigurationError, SchemeFormatError
-from .linalg import clear_denominators, echelon_int, parse_rational
+from .linalg import clear_denominators, determinant, parse_rational
 from .monomial import Exponents, monomials_of_degree
 from .rng import SeededRng
 
@@ -159,17 +159,14 @@ class StarConfiguration:
         return FatPointScheme(self.n, self.points, multiplicity)
 
 
-def _kernel_vector(rows: list[list[int]], ncols: int) -> list[Fraction] | None:
-    """Kernel vector of an (ncols-1) x ncols integer system, by exact
-    elimination and back-substitution; None if rank deficient."""
-    pivots, ech = echelon_int(rows, range(ncols), ncols)
-    if len(pivots) != ncols - 1:
+def _kernel_vector(rows: list[list[int]], ncols: int) -> list[int] | None:
+    """Kernel vector of an (ncols-1) x ncols integer system: its signed
+    maximal minors, the j-th the determinant with column j deleted; None
+    if they all vanish, that is, if the rows are dependent."""
+    vec = [(-1) ** j * determinant([row[:j] + row[j + 1:] for row in rows])
+           for j in range(ncols)]
+    if not any(vec):
         return None
-    (free,) = set(range(ncols)) - set(pivots)
-    vec = [Fraction(0)] * ncols
-    vec[free] = Fraction(1)
-    for c, row in zip(reversed(pivots), reversed(ech)):
-        vec[c] = Fraction(-sum(a * x for a, x in zip(row[c + 1 :], vec[c + 1 :])), row[c])
     for row in rows:
         if sum(a * x for a, x in zip(row, vec)) != 0:
             raise AssertionError("kernel vector failed verification")
@@ -258,7 +255,8 @@ def load_points(path) -> FatPointScheme:
             raise SchemeFormatError(f"{path}: missing key {key!r}")
     dim = doc["dim"]
     mult = doc.get("multiplicity", 1)
-    if not isinstance(dim, int) or not isinstance(mult, int):
+    # Not isinstance: JSON true and false are bools, an int subclass.
+    if type(dim) is not int or type(mult) is not int:
         raise SchemeFormatError(f"{path}: dim and multiplicity must be integers")
     raw_points = doc["points"]
     if not isinstance(raw_points, list):

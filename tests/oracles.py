@@ -1,20 +1,22 @@
 """Independent oracles the tests compare the library against.
 
-The Fraction eliminations here share no code with the library.  The
-rank-based oracles (hf_symbolic, gin_degree, alpha) build their condition
-rows entry by entry (naive_condition_rows), not with the library's factor
-tables, and take their ranks from the library's exact fallback,
-linalg.echelon_int, never from the mod-p profile or its certificate, so
-they check the pipeline's fast path.  The
-geometry oracles decide membership in a Newton polyhedron by vertex
-enumeration and find its facets by trying every candidate hyperplane.
+The eliminations here share no code with the library's decision path.
+The rank-based oracles (hf_symbolic, gin_degree, alpha) build their
+condition rows entry by entry (naive_condition_rows), not with the
+library's factor tables, and take their ranks from echelon_int, a
+fraction-free elimination over Q that lives here, never from the mod-p
+profile or its certificate.  The determinant oracle sums Leibniz's
+formula in Fractions.  The geometry oracles decide membership in a Newton
+polyhedron by vertex enumeration and find its facets by trying every
+candidate hyperplane.
 """
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
+from typing import Sequence
 
-from starshape.linalg import echelon_int, random_invertible_matrix
+from starshape.linalg import random_invertible_matrix
 from starshape.monomial import dimension_of_degree, monomials_of_degree
 from starshape.rng import SeededRng
 from starshape.scheme import transform_scheme
@@ -43,6 +45,75 @@ def naive_rref(rows, order):
         if r == nrows:
             break
     return pivots, m
+
+
+def _strip_gcd(row: list, start_cols: Sequence[int]) -> None:
+    g = 0
+    for j in start_cols:
+        v = row[j]
+        if v:
+            g = math.gcd(g, v)
+            if g == 1:
+                return
+    if g > 1:
+        for j in start_cols:
+            if row[j]:
+                row[j] //= g
+
+
+def echelon_int(
+    rows: list[list[int]], order: Sequence[int], ncols: int
+) -> tuple[list[int], list[list[int]]]:
+    """Fraction-free forward elimination with pivot scan along `order`.
+
+    Returns (pivot columns in scan order, echelon rows aligned with them).
+    Columns outside `order` are carried along but never pivoted.  Input rows
+    are left untouched.
+    """
+    work = [list(r) for r in rows]
+    extras = sorted(set(range(ncols)) - set(order))
+    pivots: list[int] = []
+    r = 0
+    for idx, c in enumerate(order):
+        piv = None
+        for i in range(r, len(work)):
+            if work[i][c]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        prow = work[r]
+        a = prow[c]
+        tail = list(order[idx + 1 :]) + extras
+        for i in range(r + 1, len(work)):
+            row = work[i]
+            b = row[c]
+            if not b:
+                continue
+            row[c] = 0
+            for j in tail:
+                row[j] = a * row[j] - b * prow[j]
+            _strip_gcd(row, tail)
+        pivots.append(c)
+        r += 1
+        if r == len(work):
+            break
+    return pivots, work[:r]
+
+
+def leibniz_determinant(rows):
+    """Sum over the permutations of the signed products of entries, in
+    Fractions; the sign is that of the permutation's inversion count."""
+    n = len(rows)
+    total = Fraction(0)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(n), 2))
+        term = Fraction((-1) ** inversions)
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
 
 
 def naive_rank_and_kernel(rows, ncols):

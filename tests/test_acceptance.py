@@ -18,13 +18,14 @@ from oracles import (
     LE,
     brute_force_feasible,
     conditions_matrix,
+    exact_free_columns,
     naive_condition_rows,
     naive_rank_and_kernel,
     naive_rref,
 )
-from starshape import gin
 from starshape.cli import main as cli_main
 from starshape.gin import compute_gin, result_to_json
+from starshape.linalg import certified_free_columns
 from starshape.monomial import monomials_of_degree
 from starshape.scheme import build_star
 from starshape.shape import (
@@ -274,9 +275,10 @@ def test_c8_structural_suite(star_gin, conic_gin, gin_cache):
 
 
 def test_c9_rank_and_nullspace_against_naive_oracle(conic_scheme):
-    # The pipeline's profile of every condition matrix (mod-p profile plus
-    # certificate, and the exact fallback alone) against naive Fraction
-    # elimination; the naive kernel dimension against the computed hf_table.
+    # The pipeline's proved profile of every condition matrix (mod-p profile
+    # plus certificate), and the fraction-free oracle's, against naive
+    # Fraction elimination; the naive kernel dimension against the computed
+    # hf_table.
     checked = 0
     schemes = [
         build_star(n, s).scheme(m)
@@ -298,8 +300,9 @@ def test_c9_rank_and_nullspace_against_naive_oracle(conic_scheme):
             scan, _ = naive_rref(rows, range(ncols - 1, -1, -1))
             oracle_free = [j for j in range(ncols) if j not in scan]
             int_rows = naive_condition_rows(sch.int_points, n + 1, m, monomials_of_degree(n + 1, d), d)
-            assert gin._settled_free_columns(int_rows, ncols) == (oracle_free, oracle_rank)
-            assert gin._free_columns(int_rows, ncols) == (oracle_free, oracle_rank)
+            assert len(oracle_free) == ncols - oracle_rank
+            assert certified_free_columns(int_rows, ncols) == oracle_free
+            assert exact_free_columns(int_rows, ncols) == oracle_free
             if d >= m:
                 dim_d = res.hf_table[d][1] if d <= res.stop_degree else ncols - res.colength
                 assert len(oracle_kernel) == dim_d

@@ -125,6 +125,14 @@ def test_custom_bad_files(tmp_path):
     dup = tmp_path / "dup.json"
     dup.write_text(json.dumps({"dim": 2, "points": [["1", "1", "1"], ["1", "1", "1"]]}))
     assert run("custom", "--points", str(dup), "--m-max", "1") == 2
+    # JSON true is no integer, although Python's bool is an int.
+    bool_dim = tmp_path / "bool_dim.json"
+    bool_dim.write_text(json.dumps({"dim": True, "points": [["1", "0"], ["0", "1"]]}))
+    assert run("custom", "--points", str(bool_dim), "--m-max", "1") == 2
+    bool_mult = tmp_path / "bool_mult.json"
+    bool_mult.write_text(json.dumps({"dim": 1, "multiplicity": True,
+                                     "points": [["1", "0"], ["0", "1"]]}))
+    assert run("custom", "--points", str(bool_mult), "--m-max", "1") == 2
 
 
 def test_invariants_command(tmp_path):
@@ -187,6 +195,23 @@ def test_flags_rejected_before_any_output(tmp_path, monkeypatch):
     ):
         assert run(*argv, "--cache", str(cache)) == 2
         assert not out.exists() and not svg.exists() and not cache.exists()
+    # A cache path that is a file, from the flag or the environment, and an
+    # output file in a missing directory or at a directory.
+    cache_file = tmp_path / "cache_file"
+    cache_file.write_text("not a directory")
+    missing = tmp_path / "missing"
+    star = ["star", "--n", "2", "--s", "3", "--m", "1"]
+    assert run(*star, "--cache", str(cache_file), "--json", str(out)) == 2
+    monkeypatch.setenv("STARSHAPE_CACHE", str(cache_file))
+    assert run(*star, "--json", str(out)) == 2
+    monkeypatch.delenv("STARSHAPE_CACHE")
+    for flag in ("--json", "--csv", "--svg"):
+        assert run(*star, flag, str(missing / "x"), "--no-cache") == 2
+        assert run(*star, flag, str(tmp_path), "--no-cache") == 2
+    assert run("verify", "--n", "2", "--s", "3", "--m-max", "2",
+               "--csv", str(missing / "x.csv"), "--cache", str(cache)) == 2
+    assert not out.exists() and not missing.exists() and not cache.exists()
+    assert cache_file.read_text() == "not a directory"
 
 
 def test_internal_value_error_is_not_a_usage_error(monkeypatch):

@@ -7,7 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from oracles import coordinate_change_for, gin_degree, hf_symbolic, two_step_gin_degree
+from oracles import (
+    coordinate_change_for,
+    exact_free_columns,
+    gin_degree,
+    hf_symbolic,
+    two_step_gin_degree,
+)
 from starshape import gin, linalg
 from starshape.errors import GenericityError
 from starshape.gin import (
@@ -301,30 +307,21 @@ def test_unsaturated_input_is_rejected_loudly():
 
 
 def test_zero_kernel_mod_p_is_settled_without_q_elimination(monkeypatch):
-    def no_q_elimination(rows, ncols):
-        raise AssertionError("a zero kernel mod p must not reach _free_columns")
+    def no_lift(*args):
+        raise AssertionError("a zero kernel mod p needs no certificate")
 
-    monkeypatch.setattr(gin, "_free_columns", no_q_elimination)
-    assert gin._settled_free_columns([[1, 0], [3, 1]], 2) == ([], 2)
+    monkeypatch.setattr(linalg, "_lift_kernel", no_lift)
+    assert certified_free_columns([[1, 0], [3, 1]], 2) == []
 
 
 def test_seed1_falls_back_to_q_when_p_kills_a_pivot():
-    # Column 0's only nonzero entry is p: a pivot over Q, none mod p.
+    # Column 0's only nonzero entry is p: a pivot over Q, none mod p.  No
+    # certificate proves the profile mod p, so the proof fails (and
+    # compute_gin would redraw) rather than answer [0, 1].
     rows = [[MODULUS, 0, 0], [0, 1, 1]]
     assert free_columns_mod_p(rows, 3) == [0, 1]
-    assert gin._settled_free_columns(rows, 3) == ([1], 2)
-
-
-def spy_on_q_elimination(monkeypatch):
-    calls = []
-
-    def counted(rows, ncols):
-        calls.append(ncols)
-        return exact(rows, ncols)
-
-    exact = gin._free_columns
-    monkeypatch.setattr(gin, "_free_columns", counted)
-    return calls
+    assert certified_free_columns(rows, 3) is None
+    assert exact_free_columns(rows, 3) == [1]
 
 
 def spy_on_lift(monkeypatch):
@@ -346,14 +343,14 @@ def test_deciding_minor_divisible_by_p_takes_the_q_fallback(monkeypatch):
     # The lifted kernel vector of column 1 is (-p, 1, -1), which leans on
     # the pivot scanned after it, so the support check refuses it.
     # Full row rank mod p alone does not skip the lift: the free column is
-    # not the last one scanned.
+    # not the last one scanned.  The same rows fail the same way again, so
+    # only a new coordinate change, hence new rows, can be proved.
     rows = [[1, MODULUS + 1, 1], [0, 1, 1]]
-    calls = spy_on_q_elimination(monkeypatch)
     lifts = spy_on_lift(monkeypatch)
     assert free_columns_mod_p(rows, 3) == [1]
     assert certified_free_columns(rows, 3) is None
-    assert gin._settled_free_columns(rows, 3) == ([0], 2)
-    assert calls == [3]
+    assert certified_free_columns(rows, 3) is None
+    assert exact_free_columns(rows, 3) == [0]
     assert lifts == [[1], [1]]
 
 
@@ -373,10 +370,8 @@ def test_tampered_lift_is_refused_and_q_decides(monkeypatch, kernel):
     # column 1 is a pivot.
     rows = [[MODULUS, MODULUS, 0]]
     monkeypatch.setattr(linalg, "_lift_kernel", lambda *args: kernel)
-    calls = spy_on_q_elimination(monkeypatch)
     assert certified_free_columns(rows, 3) is None
-    assert gin._settled_free_columns(rows, 3) == ([0, 2], 1)
-    assert calls == [3]
+    assert exact_free_columns(rows, 3) == [0, 2]
 
 
 def test_last_generator_degree_of_a_star_power_needs_no_lift(monkeypatch):
@@ -402,12 +397,11 @@ def test_last_generator_degree_of_a_star_power_needs_no_lift(monkeypatch):
     assert lifted == [7]
 
 
-def test_generator_degrees_are_certified_without_q_elimination(monkeypatch):
+def test_generator_degrees_are_certified_without_q_elimination():
+    # Every degree of the certified result, not only the proved ones, is
+    # the slice an exact elimination over Q finds.
     sch = build_star(2, 4).scheme(3)
-    calls = spy_on_q_elimination(monkeypatch)
     res = compute_gin(sch, seed=2)
-    assert calls == []
-    monkeypatch.undo()
     g = coordinate_change_for(res)
     for d in range(res.stop_degree + 1):
         slice_d = {u for u in monomials_of_degree(3, d) if res.min_generators.contains(u)}
@@ -420,7 +414,7 @@ def test_proofs_run_only_in_the_generator_degrees(monkeypatch):
     # reaches 36 at D = 8; the witness profiles 8, and only 7 and 9 are
     # proved.
     rows_at, proved_at = [], []
-    rows_of, settle = gin._condition_rows, gin._settled_free_columns
+    rows_of, settle = gin._condition_rows, gin.certified_free_columns
 
     def rows_spy(*args):
         rows_at.append(args[-1])
@@ -431,13 +425,37 @@ def test_proofs_run_only_in_the_generator_degrees(monkeypatch):
         return settle(*args)
 
     monkeypatch.setattr(gin, "_condition_rows", rows_spy)
-    monkeypatch.setattr(gin, "_settled_free_columns", settle_spy)
+    monkeypatch.setattr(gin, "certified_free_columns", settle_spy)
     sch = build_star(2, 4).scheme(3)
     res = compute_gin(sch, seed=2)
     assert sorted({sum(g) for g in res.min_generators.generators}) == [7, 9]
     assert rows_at == [7, 8, 8, 7, 9]
     assert proved_at == [7, 9]
     assert min(rows_at) >= sch.multiplicity - 1
+
+
+def test_failed_certificate_redraws(monkeypatch):
+    # A certificate that fails is a failed draw: compute_gin moves on to
+    # the next seed pair and proves the same ideal there.
+    sch = build_star(2, 4).scheme(3)
+    clean = compute_gin(sch, seed=2)
+    certify, calls = gin.certified_free_columns, []
+
+    def fails_once(rows, ncols):
+        calls.append(ncols)
+        return None if len(calls) == 1 else certify(rows, ncols)
+
+    monkeypatch.setattr(gin, "certified_free_columns", fails_once)
+    res = compute_gin(sch, seed=2)
+    assert res.seeds_used == gin._seed_pairs(2, 3)[1] != clean.seeds_used
+    assert res.min_generators == clean.min_generators
+
+
+def test_certificate_failing_every_draw_is_reported(monkeypatch):
+    monkeypatch.setattr(gin, "certified_free_columns", lambda rows, ncols: None)
+    with pytest.raises(GenericityError) as info:
+        compute_gin(build_star(2, 4).scheme(3), seed=2)
+    assert str(info.value).count("fail the proof over Q") == 3
 
 
 def test_candidate_missing_a_generator_fails_the_proof(monkeypatch):

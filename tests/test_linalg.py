@@ -4,13 +4,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import exact_free_columns, naive_rank_and_kernel, naive_rref
+from oracles import (
+    echelon_int,
+    exact_free_columns,
+    leibniz_determinant,
+    naive_rank_and_kernel,
+    naive_rref,
+)
 from starshape import linalg
 from starshape.linalg import (
     MODULUS,
     certified_free_columns,
     clear_denominators,
-    echelon_int,
+    determinant,
     format_rational,
     free_columns_mod_p,
     parse_rational,
@@ -61,8 +67,8 @@ def test_pivot_columns_is_echelon_prefix_of_rref():
 @settings(max_examples=150)
 @given(small_matrices(), st.randoms(use_true_random=False))
 def test_rref_matches_naive_oracle(rows, rnd):
-    # The exact fallback's pivot profile along a random scan order, on the
-    # rows scaled to integers, is the naive Fraction elimination's.
+    # The fraction-free oracle's pivot profile along a random scan order,
+    # on the rows scaled to integers, is the naive Fraction elimination's.
     order = list(range(len(rows[0])))
     rnd.shuffle(order)
     ints = [clear_denominators(r) for r in rows]
@@ -158,8 +164,7 @@ def low_rank_matrices(draw):
 @given(int_matrices(st.integers(-9, 9)) | low_rank_matrices())
 def test_certificate_proves_the_exact_profile(matrix):
     rows, ncols = matrix
-    free = exact_free_columns(rows, ncols)
-    assert certified_free_columns(rows, ncols) == (free, ncols - len(free))
+    assert certified_free_columns(rows, ncols) == exact_free_columns(rows, ncols)
 
 
 @pytest.mark.parametrize(
@@ -178,8 +183,7 @@ def test_full_row_rank_with_free_columns_last_needs_no_lift(monkeypatch, rows, n
         raise AssertionError("this profile is proved without a lift")
 
     monkeypatch.setattr(linalg, "_lift_kernel", no_lift)
-    free = exact_free_columns(rows, ncols)
-    assert certified_free_columns(rows, ncols) == (free, ncols - len(free))
+    assert certified_free_columns(rows, ncols) == exact_free_columns(rows, ncols)
 
 
 @settings(max_examples=200)
@@ -188,5 +192,27 @@ def test_certificate_is_exact_or_refused(matrix):
     # Here p divides many entries and minors: the mod-p profile is often
     # wrong, and then the certificate must fail rather than confirm it.
     rows, ncols = matrix
-    free = exact_free_columns(rows, ncols)
-    assert certified_free_columns(rows, ncols) in (None, (free, ncols - len(free)))
+    assert certified_free_columns(rows, ncols) in (None, exact_free_columns(rows, ncols))
+
+
+@settings(max_examples=200)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-9, 9) | near_multiples_of_p, min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        )
+    )
+)
+def test_determinant_matches_leibniz(rows):
+    before = [list(r) for r in rows]
+    assert determinant(rows) == leibniz_determinant(rows)
+    assert rows == before  # input rows are left untouched
+
+
+def test_determinant_is_exact_over_q_not_mod_p():
+    # Singular mod p, invertible over Q: a draw like this must be kept.
+    assert determinant([[MODULUS, 0], [0, 1]]) == MODULUS
+    assert determinant([[0, 1], [1, 0]]) == -1
+    assert determinant([[2, 4], [1, 2]]) == 0

@@ -21,6 +21,7 @@ from starshape.rng import SeededRng
 from starshape.scheme import (
     FatPointScheme,
     _condition_rows,
+    _kernel_vector,
     build_star,
     load_points,
     normalize_point,
@@ -142,6 +143,26 @@ def condition_row_inputs(draw):
 @given(condition_row_inputs())
 def test_condition_rows_match_the_entrywise_formula(args):
     assert _condition_rows(*args) == naive_condition_rows(*args)
+
+
+@st.composite
+def hyperplane_systems(draw):
+    # n rows in n + 1 unknowns; entries in [-2, 2] make dependent rows common.
+    n = draw(st.integers(1, 4))
+    row = st.lists(st.integers(-2, 2), min_size=n + 1, max_size=n + 1)
+    return draw(st.lists(row, min_size=n, max_size=n)), n + 1
+
+
+@settings(max_examples=200)
+@given(hyperplane_systems())
+def test_kernel_vector_is_none_exactly_when_rows_are_dependent(system):
+    rows, ncols = system
+    vec = _kernel_vector(rows, ncols)
+    rank = naive_rank_and_kernel(rows, ncols)[0]
+    assert (vec is None) == (rank < ncols - 1)
+    if vec is not None:
+        assert any(vec)
+        assert all(sum(a * x for a, x in zip(row, vec)) == 0 for row in rows)
 
 
 def test_build_star_point_counts():
