@@ -37,7 +37,8 @@ from .shape import AxisSimplex, scaled, shape_of, staircase_svg, points_csv
 CACHE_ENV = "STARSHAPE_CACHE"
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each subcommand's own parser, by name."""
     parser = argparse.ArgumentParser(
         prog="starshape",
         description="Symbolic-power initial ideals of point configurations "
@@ -83,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_inv = sub.add_parser("invariants", help="per-power invariant tables only")
     common(p_inv, star_args=True)
     p_inv.add_argument("--m-max", type=int, required=True, dest="m_max")
-    return parser
+    return parser, sub.choices
 
 
 def _cache_dir(args) -> str | None:
@@ -276,7 +277,7 @@ def _cmd_invariants(args, parser) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -287,6 +288,8 @@ def main(argv=None) -> int:
         "custom": _cmd_custom,
         "invariants": _cmd_invariants,
     }
+    # Errors found after parsing show the usage line of the command run.
+    parser = commands[args.command]
     try:
         _check_common(args, parser)
         return handlers[args.command](args, parser)

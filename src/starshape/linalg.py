@@ -4,15 +4,20 @@ The decision-critical computations in this package are ranks and pivot
 profiles of integer condition matrices, and every answer is exact.  A
 profile is computed mod a prime p (pivot_profile_mod_p) and then proved
 over Q (certified_free_columns): rows independent mod p are independent
-over Q.  Full row rank mod p with the free columns last in the scan needs
-no more: every column suffix has at most as many free columns over Q as
-mod p, and the two ranks are equal.  Otherwise each column free mod p
-gets an exact kernel vector, found by Dixon's p-adic lifting with
-rational reconstruction and checked exactly against every row.  There is
-no exact elimination of a condition matrix to fall back on: a proof that
-fails is reported, and the caller redraws its coordinate change.  The only
-exact elimination is determinant (Bareiss), on the small square matrices
-of coordinate changes and hyperplane systems.
+over Q, so no column suffix has a smaller rank over Q than mod p.  The
+rest is proved by integer certificates, found by Dixon's p-adic lifting
+with rational reconstruction (_dixon_solve) and checked exactly on the
+whole matrix.  Dual certificates, one left-kernel vector per row that is
+no pivot row mod p, bound the rank over Q by the rank mod p, which proves
+every free column below the smallest pivot column; a free column above
+it gets a column certificate, a kernel vector.  Where that takes more
+vectors than there are free columns, every free column gets a column
+certificate instead.  Full row rank mod p with the free columns last in
+the scan takes zero vectors.  There is no exact elimination of a
+condition matrix to fall back on: a proof that fails is reported, and the
+caller redraws its coordinate change.  The only exact elimination is
+determinant (Bareiss), on the small square matrices of coordinate changes
+and hyperplane systems.
 """
 
 from __future__ import annotations
@@ -201,40 +206,35 @@ def _reconstruct(xs: list[int], modulus: int, bound: int) -> tuple[int, list[int
     return den // g, [a // g for a in nums]
 
 
-def _lift_kernel(
-    rows: Sequence[Sequence[int]],
-    free: list[int],
-    pivots: list[int],
-    pivot_rows: list[int],
-) -> list[list[int]] | None:
-    """For each column f in free, a candidate integer kernel vector: v[f] > 0,
-    the other entries on the pivot columns, solving the square system
-    B x = -A[pivot_rows, f] with B = A[pivot_rows, pivots]; None when B is
-    singular mod p or the lifting does not converge.
+def _dixon_solve(
+    square: list[list[int]], rhs: list[list[int]]
+) -> list[tuple[int, list[int]]] | None:
+    """For each b in rhs, the primitive integer solution of square * x = b:
+    (den, nums) with den > 0 and square * nums = den * b; None when square
+    is singular mod p or the lifting does not converge.
 
     Dixon's p-adic lifting (Numer. Math. 1982) with symmetric digits: one
-    inverse of B mod p, then per step digit = B**-1 * residual mod p and
-    residual = (residual - B * digit) / p, exactly.  All free columns are
-    lifted in one loop; B's columns and each residual are packed into big
-    integers, so a step costs a few multiply-adds per pivot.  Every other
-    step the columns try a rational reconstruction, widest last, and drop
-    out once it succeeds.  The reconstruction keeps 20 bits of margin on
-    both the numerators and the denominator, which makes a false one about
-    as likely as 2**-40; a false one still fails the exact checks of the
-    caller.  The step cap is where Hadamard's bound on every r x r minor
-    of [B | A[pivot_rows, f]] guarantees the reconstruction.
+    inverse of square mod p, then per step digit = square**-1 * residual
+    mod p and residual = (residual - square * digit) / p, exactly.  All
+    right-hand sides are lifted in one loop; square's columns and each
+    residual are packed into big integers, so a step costs a few
+    multiply-adds per column.  Every other step the right-hand sides try a
+    rational reconstruction, last first, and drop out once it succeeds;
+    the first failure ends the round, so callers put the solutions
+    expected to be widest first.  The reconstruction keeps 20 bits of
+    margin on both the numerators and the denominator, which makes a false
+    one about as likely as 2**-40; a false one still fails the exact
+    checks of the caller.  The step cap is where Hadamard's bound on every
+    r x r minor of [square | b] guarantees the reconstruction, with the
+    entry size taken from the system solved.
     """
-    ncols = len(free) + len(pivots)
-    if not pivots:
-        return [[int(c == f) for c in range(ncols)] for f in free]
     p = MODULUS
-    r = len(pivots)
-    square = [rows[i] for i in pivot_rows]
-    inv_cols = _inverse_columns_mod_p([[row[c] for c in pivots] for row in square])
+    r = len(square)
+    inv_cols = _inverse_columns_mod_p(square)
     if inv_cols is None:
         return None
     nb = _slot_bytes(r)
-    top = max(abs(v) for row in square for v in row).bit_length()
+    top = max(abs(v) for row in (*square, *rhs) for v in row).bit_length()
     # A residual slot stays below r * 2**top * p in absolute value, also
     # between the subtraction and the division by p.  Offset by half a
     # slot, the slots are non-negative and unpack like the others.
@@ -245,41 +245,85 @@ def _lift_kernel(
     def pack_signed(vals: list[int]) -> int:
         return _pack([v + half for v in vals], rb) - offset
 
-    b_cols = [pack_signed([row[c] for row in square]) for c in pivots]
-    residual = {f: pack_signed([-row[f] for row in square]) for f in free}
-    digits_sum = {f: [0] * r for f in free}
+    square_cols = [pack_signed(list(col)) for col in zip(*square)]
+    residual = {k: pack_signed(b) for k, b in enumerate(rhs)}
+    digits_sum = {k: [0] * r for k in residual}
     margin = 20
     hadamard_bits = (r + 1) * (top + (r.bit_length() + 1) // 2)
     cap = (2 * hadamard_bits + 2 * margin + 2) // (p.bit_length() - 1) + 1
-    found: dict[int, list[int]] = {}
+    found: dict[int, tuple[int, list[int]]] = {}
     modulus = 1
     for step in range(1, cap + 1):
-        for f, res in residual.items():
+        for k, res in residual.items():
             ys = [(y - half) % p for y in _unpack(res + offset, rb, r)]
             ts = [t - p if t > p >> 1 else t
                   for t in (t % p for t in _unpack(sum(map(mul, inv_cols, ys)), nb, r))]
-            residual[f] = (res - sum(map(mul, b_cols, ts))) // p
-            digits_sum[f] = [x + t * modulus for x, t in zip(digits_sum[f], ts)]
+            residual[k] = (res - sum(map(mul, square_cols, ts))) // p
+            digits_sum[k] = [x + t * modulus for x, t in zip(digits_sum[k], ts)]
         modulus *= p
         if step % 2 and step < cap:
             continue
         bound = math.isqrt(modulus >> (2 * margin + 1))
-        # Kernel vectors tend to grow as the column index falls, so larger
-        # columns are tried first and the first failure ends the round.
-        for f in sorted(residual, reverse=True):
-            got = _reconstruct(digits_sum[f], modulus, bound)
+        for k in sorted(residual, reverse=True):
+            got = _reconstruct(digits_sum[k], modulus, bound)
             if got is None:
                 break
-            den, nums = got
-            v = [0] * ncols
-            v[f] = den
-            for c, a in zip(pivots, nums):
-                v[c] = a
-            found[f] = v
-            del residual[f]
+            found[k] = got
+            del residual[k]
         if not residual:
-            return [found[f] for f in free]
+            return [found[k] for k in range(len(rhs))]
     return None
+
+
+def _lift_kernel(
+    rows: Sequence[Sequence[int]],
+    ncols: int,
+    cols: list[int],
+    pivots: list[int],
+    pivot_rows: list[int],
+) -> list[list[int]] | None:
+    """Candidate column certificates: for each f in cols, an integer vector
+    v of length ncols with v[f] > 0 and the other entries on the pivot
+    columns, solving A[pivot_rows] v = 0; None when _dixon_solve fails.
+    Kernel vectors tend to grow as the column index falls, so ascending
+    cols put the widest first."""
+    square = [[rows[i][c] for c in pivots] for i in pivot_rows]
+    sols = _dixon_solve(square, [[-rows[i][f] for i in pivot_rows] for f in cols])
+    if sols is None:
+        return None
+    kernel = []
+    for f, (den, nums) in zip(cols, sols):
+        v = [0] * ncols
+        v[f] = den
+        for c, a in zip(pivots, nums):
+            v[c] = a
+        kernel.append(v)
+    return kernel
+
+
+def _lift_left_kernel(
+    rows: Sequence[Sequence[int]],
+    spare: list[int],
+    pivots: list[int],
+    pivot_rows: list[int],
+) -> list[list[int]] | None:
+    """Candidate dual certificates: for each row i in spare, an integer
+    vector y of length len(rows) with y[i] > 0 and the other entries on
+    the pivot rows, solving y A[:, pivots] = 0; None when _dixon_solve
+    fails.  Left-kernel vectors tend to grow with the row index, so the
+    rows go to _dixon_solve in descending order, widest first."""
+    square = [[rows[i][c] for i in pivot_rows] for c in pivots]
+    sols = _dixon_solve(square, [[-rows[i][c] for c in pivots] for i in reversed(spare)])
+    if sols is None:
+        return None
+    left = []
+    for i, (den, nums) in zip(spare, reversed(sols)):
+        y = [0] * len(rows)
+        y[i] = den
+        for j, a in zip(pivot_rows, nums):
+            y[j] = a
+        left.append(y)
+    return left
 
 
 def certified_free_columns(
@@ -289,38 +333,63 @@ def certified_free_columns(
     the profile mod p; None when the proof fails.
 
     The mod-p pivots of every suffix of columns are independent mod p,
-    hence over Q.  So the two profiles agree once every mod-p free column
-    f has a certificate: an integer vector v with v[f] != 0, support in
-    {f} and the pivots scanned before f (the larger pivot columns), and
-    A v = 0 exactly on every row.  Then column f lies in the Q-span of the
-    pivots after it, and by induction over the scan prefixes every suffix
-    has the same rank over Q as mod p.  The candidates come from
-    _lift_kernel; the square system it solves is the pivot rows of the
-    final all-rows check, so nothing it returns is trusted unchecked.
+    hence over Q, so rank_p(S) <= rank_Q(S) for every column suffix S.
+    Let c* be the smallest pivot column.  The free columns mod p above c*
+    (interleaved) and below it (leading) are proved in two ways.
 
-    One profile needs no certificates: rank len(rows) mod p with the free
-    columns exactly 0..k-1, the last ones scanned.  A minor nonzero mod p
-    is nonzero over Q, so rank_p(S) <= rank_Q(S) for every column suffix
-    S, and S has at most as many free columns over Q as mod p.  The suffix
-    k..ncols-1 has none mod p, so every column free over Q is below k.
-    And rank_Q <= len(rows) = rank_p, so the ranks are equal and exactly k
-    columns are free over Q: the columns 0..k-1.
+    A column certificate for a free column f is an integer vector v with
+    v[f] != 0, support in {f} and the pivots scanned before f (the larger
+    pivot columns), and A v = 0 exactly on every row.  Column f then lies
+    in the Q-span of the pivots after it.
+
+    A dual certificate for a non-pivot row i is an integer vector y with
+    y[i] != 0, support in {i} and the pivot rows, and y A = 0 exactly on
+    every column.  One for each of the rows - rank_p non-pivot rows gives
+    that many independent vectors of the left kernel, so rank_Q(A) <=
+    rank_p(A).  The suffix S* from c* holds every pivot, so rank_p(S*) =
+    rank_p(A), and rank_p(S*) <= rank_Q(S*) <= rank_Q(A) <= rank_p(A) are
+    all equal.  Every longer suffix has a Q-rank between rank_Q(S*) and
+    rank_Q(A), so no leading column raises the rank: each is free over Q.
+
+    Then by induction over the scan prefixes every suffix has the same
+    rank over Q as mod p, and the profiles agree.  Either every free
+    column gets a column certificate, or every non-pivot row a dual one
+    and every interleaved column a column one, whichever needs fewer
+    vectors (the duals on a tie).  Full row rank mod p with no interleaved
+    column needs none.  Without pivots the rows are the certificate: every
+    column is free over Q only if every row is zero.  The candidates come
+    from _lift_kernel and _lift_left_kernel, and nothing they return is
+    trusted unchecked.
     """
     free, pivots, pivot_rows = pivot_profile_mod_p(rows, ncols)
     if not free:
         return []
-    if len(pivots) == len(rows) and free[-1] == len(free) - 1:
-        return free
-    kernel = _lift_kernel(rows, free, pivots, pivot_rows)
-    if kernel is None:
+    if not pivots:
+        return None if any(map(any, rows)) else free
+    pivot_row_set = set(pivot_rows)
+    spare = [i for i in range(len(rows)) if i not in pivot_row_set]
+    interleaved = [f for f in free if f > pivots[-1]]
+    if len(spare) + len(interleaved) <= len(free):
+        cols = interleaved
+    else:
+        cols, spare = free, []
+    kernel = _lift_kernel(rows, ncols, cols, pivots, pivot_rows) if cols else []
+    left = _lift_left_kernel(rows, spare, pivots, pivot_rows) if spare else []
+    if kernel is None or left is None or len(kernel) != len(cols) or len(left) != len(spare):
         return None
     pivot_set = set(pivots)
-    for f, v in zip(free, kernel):
+    for f, v in zip(cols, kernel):
         if len(v) != ncols or not v[f]:
             return None
         if any(v[c] for c in range(ncols) if c != f and (c < f or c not in pivot_set)):
             return None
         if any(sum(map(mul, row, v)) for row in rows):
+            return None
+    columns = list(zip(*rows)) if spare else []
+    for i, y in zip(spare, left):
+        if len(y) != len(rows) or not y[i] or any(y[j] for j in spare if j != i):
+            return None
+        if any(sum(map(mul, col, y)) for col in columns):
             return None
     return free
 

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from starshape import gin, linalg
 from starshape.gin import GinCache, compute_gin
 from starshape.invariants import gin_seed
 from starshape.scheme import FatPointScheme, build_star
@@ -25,6 +26,46 @@ def star_gin(gin_cache):
         return compute_gin(star.scheme(m), seed=GIN_SEED, cache=gin_cache)
 
     return get
+
+
+@pytest.fixture
+def lift_calls(monkeypatch):
+    """Every certificate lift of linalg.certified_free_columns, in order:
+    ("columns", the free columns lifted) or ("rows", the non-pivot rows
+    lifted)."""
+    calls = []
+    lift_columns, lift_rows = linalg._lift_kernel, linalg._lift_left_kernel
+
+    def columns(rows, ncols, cols, pivots, pivot_rows):
+        calls.append(("columns", cols))
+        return lift_columns(rows, ncols, cols, pivots, pivot_rows)
+
+    def duals(rows, spare, pivots, pivot_rows):
+        calls.append(("rows", spare))
+        return lift_rows(rows, spare, pivots, pivot_rows)
+
+    monkeypatch.setattr(linalg, "_lift_kernel", columns)
+    monkeypatch.setattr(linalg, "_lift_left_kernel", duals)
+    return calls
+
+
+@pytest.fixture
+def proofs(lift_calls, monkeypatch):
+    """One record per degree that compute_gin proves, in order: rows,
+    columns, free columns over Q (None if refused) and the lifts made, as
+    (kind, number of vectors)."""
+    records = []
+    settle = gin.certified_free_columns
+
+    def spy(rows, ncols):
+        before = len(lift_calls)
+        free = settle(rows, ncols)
+        lifts = [(kind, len(targets)) for kind, targets in lift_calls[before:]]
+        records.append((len(rows), ncols, None if free is None else len(free), lifts))
+        return free
+
+    monkeypatch.setattr(gin, "certified_free_columns", spy)
+    return records
 
 
 @pytest.fixture(scope="session")

@@ -26,6 +26,13 @@ def test_star_usage_error_s_below_n():
     assert rc == 2
 
 
+def test_usage_error_after_parsing_shows_the_command_usage(capsys):
+    assert run("star", "--n", "3", "--s", "2", "--m", "1") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: starshape star ")
+    assert "error: need --s >= --n >= 1" in err
+
+
 def test_star_byte_identical_reruns(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for path in (a, b):

@@ -306,52 +306,45 @@ def test_unsaturated_input_is_rejected_loudly():
         compute_gin(sch, seed=1, bound=2, max_retries=0)
 
 
-def test_zero_kernel_mod_p_is_settled_without_q_elimination(monkeypatch):
-    def no_lift(*args):
-        raise AssertionError("a zero kernel mod p needs no certificate")
-
-    monkeypatch.setattr(linalg, "_lift_kernel", no_lift)
+def test_zero_kernel_mod_p_is_settled_without_q_elimination(lift_calls):
+    # A zero kernel mod p needs no certificate.
     assert certified_free_columns([[1, 0], [3, 1]], 2) == []
+    assert lift_calls == []
 
 
-def test_seed1_falls_back_to_q_when_p_kills_a_pivot():
+def test_seed1_falls_back_to_q_when_p_kills_a_pivot(lift_calls):
     # Column 0's only nonzero entry is p: a pivot over Q, none mod p.  No
     # certificate proves the profile mod p, so the proof fails (and
-    # compute_gin would redraw) rather than answer [0, 1].
+    # compute_gin would redraw) rather than answer [0, 1].  With one
+    # non-pivot row the dual certificate of row 0 fails (row 0 is not in
+    # the span of row 1); with three, the rule lifts the two free columns
+    # instead, and column 0's certificate fails.
     rows = [[MODULUS, 0, 0], [0, 1, 1]]
     assert free_columns_mod_p(rows, 3) == [0, 1]
     assert certified_free_columns(rows, 3) is None
     assert exact_free_columns(rows, 3) == [1]
+    more = rows + [[0, 2, 2], [0, 3, 3]]
+    assert free_columns_mod_p(more, 3) == [0, 1]
+    assert certified_free_columns(more, 3) is None
+    assert exact_free_columns(more, 3) == [1]
+    assert lift_calls == [("rows", [0]), ("columns", [0, 1])]
 
 
-def spy_on_lift(monkeypatch):
-    """The free columns of every _lift_kernel call, in order."""
-    calls = []
-
-    def counted(rows, free, pivots, pivot_rows):
-        calls.append(free)
-        return lift(rows, free, pivots, pivot_rows)
-
-    lift = linalg._lift_kernel
-    monkeypatch.setattr(linalg, "_lift_kernel", counted)
-    return calls
-
-
-def test_deciding_minor_divisible_by_p_takes_the_q_fallback(monkeypatch):
+def test_deciding_minor_divisible_by_p_takes_the_q_fallback(lift_calls):
     # Columns 2 and 1 are independent over Q, but their minor is p: mod p,
     # column 1 is free and column 0 a pivot, the other way round over Q.
     # The lifted kernel vector of column 1 is (-p, 1, -1), which leans on
     # the pivot scanned after it, so the support check refuses it.
-    # Full row rank mod p alone does not skip the lift: the free column is
-    # not the last one scanned.  The same rows fail the same way again, so
-    # only a new coordinate change, hence new rows, can be proved.
+    # Full row rank mod p alone does not skip the lift: the free column
+    # lies between the pivots 2 and 0, so it needs a column certificate.
+    # The same rows fail the same way again, so only a new coordinate
+    # change, hence new rows, can be proved.
     rows = [[1, MODULUS + 1, 1], [0, 1, 1]]
-    lifts = spy_on_lift(monkeypatch)
     assert free_columns_mod_p(rows, 3) == [1]
     assert certified_free_columns(rows, 3) is None
     assert certified_free_columns(rows, 3) is None
     assert exact_free_columns(rows, 3) == [0]
-    assert lifts == [[1], [1]]
+    assert lift_calls == [("columns", [1]), ("columns", [1])]
 
 
 @pytest.mark.parametrize(
@@ -359,42 +352,42 @@ def test_deciding_minor_divisible_by_p_takes_the_q_fallback(monkeypatch):
     [
         # In the kernel, but column 0's vector uses column 1, which is no
         # pivot mod p (and column 1's uses column 0, scanned after it).
-        [[1, -1, 0], [-1, 1, 0], [0, 0, 1]],
+        [[1, -1, 0], [-1, 1, 0]],
         # Supported on the column alone, but not in the kernel.
-        [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        [[1, 0, 0], [0, 1, 0]],
     ],
     ids=["support", "all-rows"],
 )
 def test_tampered_lift_is_refused_and_q_decides(monkeypatch, kernel):
-    # Every entry is 0 mod p, so mod p all three columns are free; over Q
-    # column 1 is a pivot.
-    rows = [[MODULUS, MODULUS, 0]]
-    monkeypatch.setattr(linalg, "_lift_kernel", lambda *args: kernel)
-    assert certified_free_columns(rows, 3) is None
-    assert exact_free_columns(rows, 3) == [0, 2]
-
-
-def test_last_generator_degree_of_a_star_power_needs_no_lift(monkeypatch):
-    # star(2,4) m=3 has generators in degrees 7 and 9.  In degree 9 the
-    # conditions have full row rank mod p and the free columns are the last
-    # ones scanned, which proves the profile; degree 7 still lifts.
-    degrees = []
+    # Row 1 is 0 mod p, so mod p columns 1 and 0 are free; over Q column 1
+    # is a pivot.  Three non-pivot rows are more than the two free
+    # columns, so the rule lifts the columns.
+    rows = [[0, 0, 1], [MODULUS, MODULUS, 0], [0, 0, 2], [0, 0, 3]]
     lifted = []
-    rows_of, lift = gin._condition_rows, linalg._lift_kernel
 
-    def rows_spy(*args):
-        degrees.append(args[-1])
-        return rows_of(*args)
+    def tampered(rows, ncols, cols, pivots, pivot_rows):
+        lifted.append(cols)
+        return kernel
 
-    def lift_spy(*args):
-        lifted.append(degrees[-1])
-        return lift(*args)
+    def no_dual(*args):
+        raise AssertionError("the rule lifts the columns here")
 
-    monkeypatch.setattr(gin, "_condition_rows", rows_spy)
-    monkeypatch.setattr(linalg, "_lift_kernel", lift_spy)
+    monkeypatch.setattr(linalg, "_lift_kernel", tampered)
+    monkeypatch.setattr(linalg, "_lift_left_kernel", no_dual)
+    assert free_columns_mod_p(rows, 3) == [0, 1]
+    assert certified_free_columns(rows, 3) is None
+    assert lifted == [[0, 1]]
+    assert exact_free_columns(rows, 3) == [0]
+
+
+def test_last_generator_degree_of_a_star_power_needs_no_lift(proofs):
+    # star(2,4) m=3 has generators in degrees 7 and 9.  Degree 7 is 36 x 36
+    # of rank 32 mod p with its 4 free columns below every pivot, so 4 dual
+    # vectors prove it.  In degree 9 the conditions have full row rank mod
+    # p and the free columns are the last ones scanned: zero vectors.
     res = compute_gin(build_star(2, 4).scheme(3), seed=2)
     assert sorted({sum(g) for g in res.min_generators.generators}) == [7, 9]
-    assert lifted == [7]
+    assert proofs == [(36, 36, 4, [("rows", 4)]), (36, 40, 4, [])]
 
 
 def test_generator_degrees_are_certified_without_q_elimination():
@@ -516,7 +509,7 @@ GOLDENS = Path(__file__).resolve().parents[1] / "perfbench" / "goldens" / "gin.j
 
 def test_cheap_powers_match_the_benchmark_goldens(star_gin):
     goldens = json.loads(GOLDENS.read_text(encoding="utf-8"))
-    cases = [(2, 4, 4), (2, 5, 3), (3, 4, 2), (3, 5, 2)]
+    cases = [(2, 4, 4), (2, 5, 3), (3, 4, 3), (3, 5, 3)]
     for n, s, m_max in cases:
         for m in range(1, m_max + 1):
             doc = result_to_json(star_gin(n, s, m))

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -12,6 +12,7 @@ from oracles import (
     naive_rref,
 )
 from starshape import linalg
+from starshape.gin import compute_gin
 from starshape.linalg import (
     MODULUS,
     certified_free_columns,
@@ -23,6 +24,7 @@ from starshape.linalg import (
     random_invertible_matrix,
 )
 from starshape.rng import SeededRng
+from starshape.scheme import build_star
 
 
 fractions_st = st.fractions(
@@ -178,12 +180,121 @@ def test_certificate_proves_the_exact_profile(matrix):
         ([], 3),
     ],
 )
-def test_full_row_rank_with_free_columns_last_needs_no_lift(monkeypatch, rows, ncols):
-    def no_lift(*args):
-        raise AssertionError("this profile is proved without a lift")
-
-    monkeypatch.setattr(linalg, "_lift_kernel", no_lift)
+def test_full_row_rank_with_free_columns_last_needs_no_lift(lift_calls, rows, ncols):
+    # No non-pivot row and no free column between pivots: the dual
+    # certificate needs zero vectors.
     assert certified_free_columns(rows, ncols) == exact_free_columns(rows, ncols)
+    assert lift_calls == []
+
+
+@st.composite
+def planted_profiles(draw, kind):
+    # A matrix whose last-column-first profile is known: the pivot columns
+    # P are drawn so that every free column lies below min(P) ("leading"),
+    # above it ("interleaved") or some of each ("mixed").  The r basis rows
+    # E have E[k][P[k]] = +-1 and zeros below it in scan order, and each
+    # free column is a combination of the pivot columns after it.  A = U E
+    # with U of full column rank (the identity plus up to three more rows,
+    # shuffled), so A has E's profile and rows - r spare rows.  Entries
+    # stay within 9, so by Hadamard every minor is below (9 * 6**0.5)**6 <
+    # MODULUS and the profile mod p is the exact one.
+    ncols = draw(st.integers(2, 6))
+    r = draw(st.integers(1, min(3, ncols - 1)))
+    pivots = sorted(draw(st.sets(st.integers(0, ncols - 1), min_size=r, max_size=r)), reverse=True)
+    free = [c for c in range(ncols) if c not in pivots]
+    below = sum(f < pivots[-1] for f in free)
+    assume({"leading": below == len(free), "interleaved": below == 0,
+            "mixed": 0 < below < len(free)}[kind])
+    unit = st.integers(-1, 1)
+    basis = [[0] * ncols for _ in range(r)]
+    for k, c in enumerate(pivots):
+        basis[k][c] = draw(st.sampled_from([-1, 1]))
+        for j in range(k):
+            basis[j][c] = draw(unit)
+    for f in free:
+        for k, c in enumerate(pivots):
+            if c > f:
+                a = draw(unit)
+                for j in range(r):
+                    basis[j][f] += a * basis[j][c]
+    extra = draw(st.integers(0, 6 - r))
+    mix = [[int(i == j) for j in range(r)] for i in range(r)]
+    mix += draw(st.lists(st.lists(unit, min_size=r, max_size=r), min_size=extra, max_size=extra))
+    mix = draw(st.permutations(mix))
+    rows = [[sum(u * b[c] for u, b in zip(urow, basis)) for c in range(ncols)] for urow in mix]
+    return rows, ncols, free
+
+
+@pytest.mark.parametrize("kind", ["leading", "interleaved", "mixed"])
+@settings(max_examples=100)
+@given(data=st.data())
+def test_dual_and_column_certificates_prove_planted_profiles(kind, data):
+    rows, ncols, free = data.draw(planted_profiles(kind))
+    assert exact_free_columns(rows, ncols) == free
+    assert certified_free_columns(rows, ncols) == free
+
+
+@settings(max_examples=200)
+@given(planted_profiles("mixed") | planted_profiles("leading"),
+       st.lists(st.integers(-1, 1), min_size=36, max_size=36))
+def test_planted_profile_shifted_by_multiples_of_p_is_exact_or_refused(planted, shifts):
+    # Adding multiples of p leaves the profile mod p as planted (its spare
+    # rows and leading free columns), while over Q the rank usually grows:
+    # the dual certificates must then fail, not confirm it.
+    rows, ncols, free = planted
+    shift = iter(shifts)
+    rows = [[v + next(shift) * MODULUS for v in row] for row in rows]
+    assert free_columns_mod_p(rows, ncols) == free
+    assert certified_free_columns(rows, ncols) in (None, exact_free_columns(rows, ncols))
+
+
+@pytest.mark.parametrize(
+    "left",
+    [
+        # In the left kernel, but zero at its own row.
+        [[0, 0, 0], [0, 0, 0]],
+        # On the pivot column 2 both vanish, but not on columns 1 and 0.
+        [[0, 1, 0], [0, 0, 1]],
+        # In the left kernel, but each uses the other non-pivot row, so the
+        # two are dependent and bound nothing.
+        [[0, 1, -1], [0, -1, 1]],
+    ],
+    ids=["own-row", "all-columns", "support"],
+)
+def test_tampered_dual_certificate_is_refused(monkeypatch, left):
+    # Rows 1 and 2 are 0 mod p: rank 1 mod p, with columns 1 and 0 free
+    # below the pivot 2.  Two non-pivot rows for two free columns: the rule
+    # takes the dual certificates.  Over Q the rank is 2 and column 1 is a
+    # pivot, so any confirmation would be wrong.
+    rows = [[0, 0, 1], [MODULUS, MODULUS, 0], [MODULUS, MODULUS, 0]]
+    lifted = []
+
+    def tampered(rows, spare, pivots, pivot_rows):
+        lifted.append(spare)
+        return left
+
+    def no_columns(*args):
+        raise AssertionError("the rule takes the dual certificates here")
+
+    monkeypatch.setattr(linalg, "_lift_left_kernel", tampered)
+    monkeypatch.setattr(linalg, "_lift_kernel", no_columns)
+    assert free_columns_mod_p(rows, 3) == [0, 1]
+    assert certified_free_columns(rows, 3) is None
+    assert lifted == [[1, 2]]
+    assert exact_free_columns(rows, 3) == [0]
+
+
+def test_twenty_free_columns_of_star_3_5_take_ten_dual_vectors(proofs):
+    # star(3,5) m=3 has length 100.  Its generator degree with 20 free
+    # columns has rank 90: 10 dual vectors instead of 20 column lifts.  The
+    # degree with one free column keeps its column lift (10 > 1), and the
+    # last generator degree, of full row rank, needs none.
+    compute_gin(build_star(3, 5).scheme(3), seed=0)
+    assert proofs == [
+        (100, 56, 1, [("columns", 1)]),
+        (100, 110, 20, [("rows", 10)]),
+        (100, 110, 10, []),
+    ]
 
 
 @settings(max_examples=200)
