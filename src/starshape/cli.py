@@ -165,8 +165,12 @@ def _check_common(args, parser) -> None:
     if args.coeff_bound < 2:
         parser.error("--coeff-bound must be at least 2")
     directory = _cache_dir(args)
-    if directory and os.path.exists(directory) and not os.path.isdir(directory):
-        parser.error(f"cache path {directory} exists and is not a directory")
+    if directory:
+        existing = os.path.abspath(directory)
+        while not os.path.exists(existing):
+            existing = os.path.dirname(existing)
+        if not os.path.isdir(existing):
+            parser.error(f"cache path {directory}: {existing} is not a directory")
     for flag in ("json", "csv", "svg"):
         path = getattr(args, f"{flag}_path", None)
         if path and (os.path.isdir(path)

@@ -261,11 +261,14 @@ def compute_gin(
 ) -> GinResult:
     """Generic initial ideal of the scheme's symbolic power.
 
-    Runs every degree under two coordinate changes seeded independently
-    from `seed` and requires identical results; redraws on disagreement or
-    on any structural-invariant failure, up to max_retries pairs.
-    Deterministic given (scheme, seed, bound).  A cache hit that does not
-    answer the request is recomputed and overwritten.
+    Finds and proves the ideal under one coordinate change and checks it
+    against a second, seeded independently from `seed`: the witness is one
+    pivot profile mod p in the degree D where the search stops, whose free
+    columns must be the first change's (_run_pair).  Redraws on a witness
+    mismatch, a failed certificate or any structural-invariant failure, up
+    to max_retries pairs.  Deterministic given (scheme, seed, bound).  A
+    cache hit that does not answer the request is recomputed and
+    overwritten.
     """
     key = cache_key(sch, seed, bound)
     pairs = _seed_pairs(seed, max_retries)

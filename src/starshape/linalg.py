@@ -5,19 +5,21 @@ profiles of integer condition matrices, and every answer is exact.  A
 profile is computed mod a prime p (pivot_profile_mod_p) and then proved
 over Q (certified_free_columns): rows independent mod p are independent
 over Q, so no column suffix has a smaller rank over Q than mod p.  The
-rest is proved by integer certificates, found by Dixon's p-adic lifting
-with rational reconstruction (_dixon_solve) and checked exactly on the
-whole matrix.  Dual certificates, one left-kernel vector per row that is
-no pivot row mod p, bound the rank over Q by the rank mod p, which proves
-every free column below the smallest pivot column; a free column above
-it gets a column certificate, a kernel vector.  Where that takes more
-vectors than there are free columns, every free column gets a column
-certificate instead.  Full row rank mod p with the free columns last in
-the scan takes zero vectors.  There is no exact elimination of a
-condition matrix to fall back on: a proof that fails is reported, and the
-caller redraws its coordinate change.  The only exact elimination is
-determinant (Bareiss), on the small square matrices of coordinate changes
-and hyperplane systems.
+rest is proved by integer certificates, kernel vectors found by Dixon's
+p-adic lifting with rational reconstruction (_dixon_solve) and checked
+exactly on the whole matrix, both kinds by one routine
+(_kernel_certificates).  Dual certificates, one left-kernel vector per
+row that is no pivot row mod p (a kernel vector of the transpose), bound
+the rank over Q by the rank mod p, which proves every free column below
+the smallest pivot column; a free column above it gets a column
+certificate, a kernel vector.  Where that takes more vectors than there
+are free columns, every free column gets a column certificate instead.
+Full row rank mod p with the free columns last in the scan takes zero
+vectors.  There is no exact elimination of a condition matrix to fall
+back on: a proof that fails is reported, and the caller redraws its
+coordinate change.  The only exact elimination is determinant (Bareiss),
+on the small square matrices of coordinate changes and hyperplane
+systems.
 """
 
 from __future__ import annotations
@@ -275,55 +277,40 @@ def _dixon_solve(
     return None
 
 
-def _lift_kernel(
-    rows: Sequence[Sequence[int]],
-    ncols: int,
-    cols: list[int],
-    pivots: list[int],
-    pivot_rows: list[int],
+def _kernel_certificates(
+    mat: Sequence[Sequence[int]],
+    heads: list[int],
+    eqs: list[int],
+    basis: list[int],
+    ordered: bool = False,
 ) -> list[list[int]] | None:
-    """Candidate column certificates: for each f in cols, an integer vector
-    v of length ncols with v[f] > 0 and the other entries on the pivot
-    columns, solving A[pivot_rows] v = 0; None when _dixon_solve fails.
-    Kernel vectors tend to grow as the column index falls, so ascending
-    cols put the widest first."""
-    square = [[rows[i][c] for c in pivots] for i in pivot_rows]
-    sols = _dixon_solve(square, [[-rows[i][f] for i in pivot_rows] for f in cols])
+    """Checked integer kernel vectors of mat, one for each column h in
+    heads: v[h] != 0, the other entries on the columns in basis, and
+    mat v = 0 exactly on every row; None when _dixon_solve fails or a
+    vector fails a check.
+
+    Each v solves mat[eqs][basis] x = -mat[eqs][h] with _dixon_solve,
+    heads in the order given (the widest expected first), so its support
+    is {h} and basis by construction.  With ordered, heads and basis are
+    columns of one last-column-first scan, and v must also vanish on the
+    basis columns below h, the ones scanned after it.
+    """
+    square = [[mat[i][c] for c in basis] for i in eqs]
+    sols = _dixon_solve(square, [[-mat[i][h] for i in eqs] for h in heads])
     if sols is None:
         return None
     kernel = []
-    for f, (den, nums) in zip(cols, sols):
-        v = [0] * ncols
-        v[f] = den
-        for c, a in zip(pivots, nums):
+    for h, (den, nums) in zip(heads, sols, strict=True):
+        if not den or (ordered and any(a for c, a in zip(basis, nums) if c < h)):
+            return None
+        v = [0] * len(mat[0])
+        v[h] = den
+        for c, a in zip(basis, nums):
             v[c] = a
+        if any(sum(map(mul, row, v)) for row in mat):
+            return None
         kernel.append(v)
     return kernel
-
-
-def _lift_left_kernel(
-    rows: Sequence[Sequence[int]],
-    spare: list[int],
-    pivots: list[int],
-    pivot_rows: list[int],
-) -> list[list[int]] | None:
-    """Candidate dual certificates: for each row i in spare, an integer
-    vector y of length len(rows) with y[i] > 0 and the other entries on
-    the pivot rows, solving y A[:, pivots] = 0; None when _dixon_solve
-    fails.  Left-kernel vectors tend to grow with the row index, so the
-    rows go to _dixon_solve in descending order, widest first."""
-    square = [[rows[i][c] for i in pivot_rows] for c in pivots]
-    sols = _dixon_solve(square, [[-rows[i][c] for c in pivots] for i in reversed(spare)])
-    if sols is None:
-        return None
-    left = []
-    for i, (den, nums) in zip(spare, reversed(sols)):
-        y = [0] * len(rows)
-        y[i] = den
-        for j, a in zip(pivot_rows, nums):
-            y[j] = a
-        left.append(y)
-    return left
 
 
 def certified_free_columns(
@@ -357,9 +344,9 @@ def certified_free_columns(
     and every interleaved column a column one, whichever needs fewer
     vectors (the duals on a tie).  Full row rank mod p with no interleaved
     column needs none.  Without pivots the rows are the certificate: every
-    column is free over Q only if every row is zero.  The candidates come
-    from _lift_kernel and _lift_left_kernel, and nothing they return is
-    trusted unchecked.
+    column is free over Q only if every row is zero.  Both kinds come from
+    _kernel_certificates, a dual certificate as a kernel vector of the
+    transpose, and nothing the lifting returns is trusted unchecked.
     """
     free, pivots, pivot_rows = pivot_profile_mod_p(rows, ncols)
     if not free:
@@ -373,24 +360,12 @@ def certified_free_columns(
         cols = interleaved
     else:
         cols, spare = free, []
-    kernel = _lift_kernel(rows, ncols, cols, pivots, pivot_rows) if cols else []
-    left = _lift_left_kernel(rows, spare, pivots, pivot_rows) if spare else []
-    if kernel is None or left is None or len(kernel) != len(cols) or len(left) != len(spare):
+    # Kernel vectors tend to grow as the column index falls, left-kernel
+    # vectors with the row index: both lists go widest first.
+    if cols and _kernel_certificates(rows, cols, pivot_rows, pivots, ordered=True) is None:
         return None
-    pivot_set = set(pivots)
-    for f, v in zip(cols, kernel):
-        if len(v) != ncols or not v[f]:
-            return None
-        if any(v[c] for c in range(ncols) if c != f and (c < f or c not in pivot_set)):
-            return None
-        if any(sum(map(mul, row, v)) for row in rows):
-            return None
-    columns = list(zip(*rows)) if spare else []
-    for i, y in zip(spare, left):
-        if len(y) != len(rows) or not y[i] or any(y[j] for j in spare if j != i):
-            return None
-        if any(sum(map(mul, col, y)) for col in columns):
-            return None
+    if spare and _kernel_certificates(list(zip(*rows)), spare[::-1], pivots, pivot_rows) is None:
+        return None
     return free
 
 

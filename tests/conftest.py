@@ -32,20 +32,15 @@ def star_gin(gin_cache):
 def lift_calls(monkeypatch):
     """Every certificate lift of linalg.certified_free_columns, in order:
     ("columns", the free columns lifted) or ("rows", the non-pivot rows
-    lifted)."""
+    lifted, ascending)."""
     calls = []
-    lift_columns, lift_rows = linalg._lift_kernel, linalg._lift_left_kernel
+    lift = linalg._kernel_certificates
 
-    def columns(rows, ncols, cols, pivots, pivot_rows):
-        calls.append(("columns", cols))
-        return lift_columns(rows, ncols, cols, pivots, pivot_rows)
+    def spy(mat, heads, eqs, basis, ordered=False):
+        calls.append(("columns", heads) if ordered else ("rows", heads[::-1]))
+        return lift(mat, heads, eqs, basis, ordered=ordered)
 
-    def duals(rows, spare, pivots, pivot_rows):
-        calls.append(("rows", spare))
-        return lift_rows(rows, spare, pivots, pivot_rows)
-
-    monkeypatch.setattr(linalg, "_lift_kernel", columns)
-    monkeypatch.setattr(linalg, "_lift_left_kernel", duals)
+    monkeypatch.setattr(linalg, "_kernel_certificates", spy)
     return calls
 
 

@@ -202,16 +202,18 @@ def test_flags_rejected_before_any_output(tmp_path, monkeypatch):
     ):
         assert run(*argv, "--cache", str(cache)) == 2
         assert not out.exists() and not svg.exists() and not cache.exists()
-    # A cache path that is a file, from the flag or the environment, and an
-    # output file in a missing directory or at a directory.
+    # A cache path that is a file or lies below one, from the flag or the
+    # environment, and an output file in a missing directory or at a
+    # directory.
     cache_file = tmp_path / "cache_file"
     cache_file.write_text("not a directory")
     missing = tmp_path / "missing"
     star = ["star", "--n", "2", "--s", "3", "--m", "1"]
-    assert run(*star, "--cache", str(cache_file), "--json", str(out)) == 2
-    monkeypatch.setenv("STARSHAPE_CACHE", str(cache_file))
-    assert run(*star, "--json", str(out)) == 2
-    monkeypatch.delenv("STARSHAPE_CACHE")
+    for bad in (cache_file, cache_file / "sub", cache_file / "sub" / "deeper"):
+        assert run(*star, "--cache", str(bad), "--json", str(out)) == 2
+        monkeypatch.setenv("STARSHAPE_CACHE", str(bad))
+        assert run(*star, "--json", str(out)) == 2
+        monkeypatch.delenv("STARSHAPE_CACHE")
     for flag in ("--json", "--csv", "--svg"):
         assert run(*star, flag, str(missing / "x"), "--no-cache") == 2
         assert run(*star, flag, str(tmp_path), "--no-cache") == 2

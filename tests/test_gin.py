@@ -348,35 +348,25 @@ def test_deciding_minor_divisible_by_p_takes_the_q_fallback(lift_calls):
 
 
 @pytest.mark.parametrize(
-    "kernel",
+    "solution",
     [
-        # In the kernel, but column 0's vector uses column 1, which is no
-        # pivot mod p (and column 1's uses column 0, scanned after it).
-        [[1, -1, 0], [-1, 1, 0]],
+        # The true lift: in the kernel, but it uses the pivot 0, scanned
+        # after column 1.
+        (1, [0, -MODULUS]),
         # Supported on the column alone, but not in the kernel.
-        [[1, 0, 0], [0, 1, 0]],
+        (1, [0, 0]),
     ],
     ids=["support", "all-rows"],
 )
-def test_tampered_lift_is_refused_and_q_decides(monkeypatch, kernel):
-    # Row 1 is 0 mod p, so mod p columns 1 and 0 are free; over Q column 1
-    # is a pivot.  Three non-pivot rows are more than the two free
-    # columns, so the rule lifts the columns.
-    rows = [[0, 0, 1], [MODULUS, MODULUS, 0], [0, 0, 2], [0, 0, 3]]
-    lifted = []
-
-    def tampered(rows, ncols, cols, pivots, pivot_rows):
-        lifted.append(cols)
-        return kernel
-
-    def no_dual(*args):
-        raise AssertionError("the rule lifts the columns here")
-
-    monkeypatch.setattr(linalg, "_lift_kernel", tampered)
-    monkeypatch.setattr(linalg, "_lift_left_kernel", no_dual)
-    assert free_columns_mod_p(rows, 3) == [0, 1]
+def test_tampered_lift_is_refused_and_q_decides(monkeypatch, lift_calls, solution):
+    # Row 1 is 1 and 0 mod p on columns 0 and 1: mod p column 1 is free
+    # between the pivots 2 and 0, so it needs a column certificate.  Over
+    # Q column 1 is a pivot and column 0 is free.
+    rows = [[0, 0, 1], [1, MODULUS, 0]]
+    monkeypatch.setattr(linalg, "_dixon_solve", lambda square, rhs: [solution])
+    assert free_columns_mod_p(rows, 3) == [1]
     assert certified_free_columns(rows, 3) is None
-    assert lifted == [[0, 1]]
+    assert lift_calls == [("columns", [1])]
     assert exact_free_columns(rows, 3) == [0]
 
 

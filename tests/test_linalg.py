@@ -249,38 +249,25 @@ def test_planted_profile_shifted_by_multiples_of_p_is_exact_or_refused(planted, 
 
 
 @pytest.mark.parametrize(
-    "left",
+    "solutions",
     [
         # In the left kernel, but zero at its own row.
-        [[0, 0, 0], [0, 0, 0]],
+        [(0, [0]), (0, [0])],
         # On the pivot column 2 both vanish, but not on columns 1 and 0.
-        [[0, 1, 0], [0, 0, 1]],
-        # In the left kernel, but each uses the other non-pivot row, so the
-        # two are dependent and bound nothing.
-        [[0, 1, -1], [0, -1, 1]],
+        [(1, [0]), (1, [0])],
     ],
-    ids=["own-row", "all-columns", "support"],
+    ids=["own-row", "all-columns"],
 )
-def test_tampered_dual_certificate_is_refused(monkeypatch, left):
+def test_tampered_dual_certificate_is_refused(monkeypatch, lift_calls, solutions):
     # Rows 1 and 2 are 0 mod p: rank 1 mod p, with columns 1 and 0 free
     # below the pivot 2.  Two non-pivot rows for two free columns: the rule
     # takes the dual certificates.  Over Q the rank is 2 and column 1 is a
     # pivot, so any confirmation would be wrong.
     rows = [[0, 0, 1], [MODULUS, MODULUS, 0], [MODULUS, MODULUS, 0]]
-    lifted = []
-
-    def tampered(rows, spare, pivots, pivot_rows):
-        lifted.append(spare)
-        return left
-
-    def no_columns(*args):
-        raise AssertionError("the rule takes the dual certificates here")
-
-    monkeypatch.setattr(linalg, "_lift_left_kernel", tampered)
-    monkeypatch.setattr(linalg, "_lift_kernel", no_columns)
+    monkeypatch.setattr(linalg, "_dixon_solve", lambda square, rhs: solutions)
     assert free_columns_mod_p(rows, 3) == [0, 1]
     assert certified_free_columns(rows, 3) is None
-    assert lifted == [[1, 2]]
+    assert lift_calls == [("rows", [1, 2])]
     assert exact_free_columns(rows, 3) == [0]
 
 
