@@ -22,7 +22,7 @@ from .invariants import (
     verify_theorem,
 )
 from .linalg import random_invertible_matrix
-from .monomial import MonomialIdeal, monomials_of_degree, revlex_cmp
+from .monomial import MonomialIdeal, monomials_of_degree
 from .rng import SeededRng
 from .scheme import (
     FatPointScheme,
@@ -73,7 +73,6 @@ __all__ = [
     "q_volume_estimate",
     "random_invertible_matrix",
     "regularity",
-    "revlex_cmp",
     "scaled",
     "shape_of",
     "verify_theorem",

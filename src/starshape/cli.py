@@ -51,10 +51,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
             p.add_argument("--n", type=int, required=True, help="ambient projective dimension")
             p.add_argument("--s", type=int, required=True, help="number of hyperplanes")
             p.add_argument("--mode", choices=("vandermonde", "seeded"), default="vandermonde")
+            p.add_argument("--coeff-bound", type=int, default=1000, dest="coeff_bound",
+                           help="coefficient range [-B, B] of the seeded hyperplanes")
         p.add_argument("--seed", type=int, default=0, help="64-bit master seed")
-        p.add_argument("--coeff-bound", type=int, default=1000, dest="coeff_bound",
-                       help="bounds the seeded hyperplanes and the GIN coordinate "
-                       "changes alike; small values can make every GIN draw fail")
         p.add_argument("--json", dest="json_path", help="write a JSON report here")
         p.add_argument("--csv", dest="csv_path", help="write a CSV table here")
         p.add_argument("--cache", dest="cache_dir", help="result cache directory")
@@ -160,10 +159,11 @@ def _finish(report: InvariantReport, args) -> int:
 
 def _check_common(args, parser) -> None:
     """Checks every command shares, before any work or file write."""
-    if args.command != "custom" and not 1 <= args.n <= args.s:
-        parser.error("need --s >= --n >= 1")
-    if args.coeff_bound < 2:
-        parser.error("--coeff-bound must be at least 2")
+    if args.command != "custom":
+        if not 1 <= args.n <= args.s:
+            parser.error("need --s >= --n >= 1")
+        if args.coeff_bound < 2:
+            parser.error("--coeff-bound must be at least 2")
     directory = _cache_dir(args)
     if directory:
         existing = os.path.abspath(directory)
@@ -190,9 +190,7 @@ def _cmd_star(args, parser) -> int:
     _check_svg(args, args.n, parser)
     cache = _cache_from(args)
     star = seeded_star(args.n, args.s, args.mode, args.seed, args.coeff_bound)
-    res = compute_gin(
-        star.scheme(args.m), seed=gin_seed(args.seed), bound=args.coeff_bound, cache=cache
-    )
+    res = compute_gin(star.scheme(args.m), seed=gin_seed(args.seed), cache=cache)
     doc = result_to_json(res)
     doc["mode"] = args.mode
     doc["s"] = args.s
@@ -259,7 +257,6 @@ def _cmd_custom(args, parser) -> int:
         args.m_max,
         expect_intercepts=expect,
         seed=args.seed,
-        bound=args.coeff_bound,
         cache=_cache_from(args),
     )
     return _finish(report, args)
@@ -269,13 +266,7 @@ def _cmd_invariants(args, parser) -> int:
     if args.m_max < 1:
         parser.error("--m-max must be at least 1")
     star = seeded_star(args.n, args.s, args.mode, args.seed, args.coeff_bound)
-    report = custom_report(
-        star.scheme(1),
-        args.m_max,
-        seed=args.seed,
-        bound=args.coeff_bound,
-        cache=_cache_from(args),
-    )
+    report = custom_report(star.scheme(1), args.m_max, seed=args.seed, cache=_cache_from(args))
     report.s = args.s
     return _finish(report, args)
 

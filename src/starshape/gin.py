@@ -32,11 +32,12 @@ decides the first change's profile, or when a rational reconstruction is
 false (about 2**-40) and the exact check refuses it, and both depend on
 the draw.  The second change is a witness, not part of the answer: its
 profile mod p in degree D must have the same free columns as the first
-change's.
+change's.  Both changes have integer entries in [-GIN_BOUND, GIN_BOUND],
+whatever the coefficients of the input.
 
 A result is its minimal generators; the Hilbert table, stop degree and
 colength are derived from them.  One rule serves a cache hit: it answers
-the request (n, m, bound, and seeds_used one of the pairs the seed draws),
+the request (n, m, and seeds_used one of the pairs the seed draws),
 passes the same _validate as a fresh result, and a file is byte for byte
 the document its generators define.  Anything else is a miss, recomputed
 and rewritten.
@@ -70,6 +71,13 @@ from .scheme import FatPointScheme, _condition_rows, transform_scheme
 
 CACHE_VERSION = 1
 GIN_SCHEMA = "starshape.gin/1"
+# The coordinate changes draw their entries from [-GIN_BOUND, GIN_BOUND]: a
+# deciding minor, a nonzero polynomial of degree e in those entries, vanishes
+# on a draw with probability at most e / (2 * GIN_BOUND + 1) (Schwartz-Zippel).
+# Result documents and cache keys record the bound, so changing it orphans
+# every cache file.  compute_gin tries at most GIN_DRAWS seed pairs.
+GIN_BOUND = 1000
+GIN_DRAWS = 3
 
 
 @dataclass(frozen=True)
@@ -87,7 +95,6 @@ class GinResult:
     m: int
     min_generators: MonomialIdeal
     seeds_used: tuple[int, int]
-    bound: int
 
     @cached_property
     def artinian(self) -> MonomialIdeal:
@@ -146,7 +153,6 @@ def _run_pair(
     g1: list[list[int]],
     g2: list[list[int]],
     seeds: tuple[int, int],
-    bound: int,
 ) -> GinResult:
     """The initial ideal of the scheme's symbolic power after the change g1,
     found from one profile mod p and proved in its generator degrees; g2 is
@@ -216,7 +222,7 @@ def _run_pair(
         proved = certified_free_columns(_condition_rows(z1, k, m, sub, e), len(sub))
         if proved is None or [sub[j] for j in proved] != [g for g in gens if sum(g) == e]:
             raise GenericityError(f"degree-{e} generators fail the proof over Q")
-    return GinResult(n, m, candidate, seeds, bound)
+    return GinResult(n, m, candidate, seeds)
 
 
 def _validate(res: GinResult, sch: FatPointScheme) -> None:
@@ -232,18 +238,17 @@ def _validate(res: GinResult, sch: FatPointScheme) -> None:
         )
 
 
-def _seed_pairs(seed: int, max_retries: int) -> list[tuple[int, int]]:
+def _seed_pairs(seed: int) -> list[tuple[int, int]]:
     """The coordinate-change seed pairs compute_gin draws, in order."""
     master = SeededRng(seed)
-    return [(master.next_u64(), master.next_u64()) for _ in range(max_retries)]
+    return [(master.next_u64(), master.next_u64()) for _ in range(GIN_DRAWS)]
 
 
-def _serves(hit: GinResult, sch: FatPointScheme, bound: int, pairs: list) -> bool:
-    """Whether a cached result answers the request: its n, m and bound, one
-    of the seed pairs the request draws, and the same _validate as a fresh
+def _serves(hit: GinResult, sch: FatPointScheme, pairs: list) -> bool:
+    """Whether a cached result answers the request: its n and m, one of the
+    seed pairs the request draws, and the same _validate as a fresh
     result."""
-    request = (sch.dim, sch.multiplicity, bound)
-    if (hit.n, hit.m, hit.bound) != request or hit.seeds_used not in pairs:
+    if (hit.n, hit.m) != (sch.dim, sch.multiplicity) or hit.seeds_used not in pairs:
         return False
     try:
         _validate(hit, sch)
@@ -255,9 +260,7 @@ def _serves(hit: GinResult, sch: FatPointScheme, bound: int, pairs: list) -> boo
 def compute_gin(
     sch: FatPointScheme,
     seed: int = 0,
-    bound: int = 1000,
     cache: "GinCache | None" = None,
-    max_retries: int = 3,
 ) -> GinResult:
     """Generic initial ideal of the scheme's symbolic power.
 
@@ -266,23 +269,22 @@ def compute_gin(
     pivot profile mod p in the degree D where the search stops, whose free
     columns must be the first change's (_run_pair).  Redraws on a witness
     mismatch, a failed certificate or any structural-invariant failure, up
-    to max_retries pairs.  Deterministic given (scheme, seed, bound).  A
-    cache hit that does not answer the request is recomputed and
-    overwritten.
+    to GIN_DRAWS pairs.  Deterministic given (scheme, seed).  A cache hit
+    that does not answer the request is recomputed and overwritten.
     """
-    key = cache_key(sch, seed, bound)
-    pairs = _seed_pairs(seed, max_retries)
+    key = cache_key(sch, seed)
+    pairs = _seed_pairs(seed)
     if cache is not None:
         hit = cache.get(key)
-        if hit is not None and _serves(hit, sch, bound, pairs):
+        if hit is not None and _serves(hit, sch, pairs):
             return hit
     k = sch.dim + 1
     failures: list[str] = []
     for s1, s2 in pairs:
-        g1 = random_invertible_matrix(SeededRng(s1), k, bound)
-        g2 = random_invertible_matrix(SeededRng(s2), k, bound)
+        g1 = random_invertible_matrix(SeededRng(s1), k, GIN_BOUND)
+        g2 = random_invertible_matrix(SeededRng(s2), k, GIN_BOUND)
         try:
-            res = _run_pair(sch, g1, g2, (s1, s2), bound)
+            res = _run_pair(sch, g1, g2, (s1, s2))
             _validate(res, sch)
         except GenericityError as exc:
             failures.append(str(exc))
@@ -292,7 +294,7 @@ def compute_gin(
         return res
     raise GenericityError(
         "no generic coordinate change found after "
-        f"{max_retries} attempts: {failures}"
+        f"{GIN_DRAWS} attempts: {failures}"
     )
 
 
@@ -306,7 +308,7 @@ def result_to_json(res: GinResult) -> dict:
         "schema": GIN_SCHEMA,
         "n": res.n,
         "m": res.m,
-        "bound": res.bound,
+        "bound": GIN_BOUND,
         "seeds_used": [str(s) for s in res.seeds_used],
         "generators": [list(g) for g in res.artinian.generators],
         "generators_full": [list(g) for g in res.min_generators.generators],
@@ -321,8 +323,9 @@ def result_to_json(res: GinResult) -> dict:
 
 def result_from_json(doc: dict) -> GinResult:
     """The result a document's generators define; result_to_json derives
-    every other field.  Numbers go through int(), so a document holding
-    other JSON numbers (true, 3.0) is not its canonical form."""
+    every other field and writes GIN_BOUND as the bound.  Numbers go
+    through int(), so a document holding other JSON numbers (true, 3.0) is
+    not its canonical form."""
     if doc["schema"] != GIN_SCHEMA:
         raise ValueError(f"not a {GIN_SCHEMA} document")
     n = int(doc["n"])
@@ -333,11 +336,10 @@ def result_from_json(doc: dict) -> GinResult:
             n + 1, [tuple(map(int, g)) for g in doc["generators_full"]]
         ),
         seeds_used=tuple(int(s) for s in doc["seeds_used"]),
-        bound=int(doc["bound"]),
     )
 
 
-def cache_key(sch: FatPointScheme, seed: int, bound: int) -> str:
+def cache_key(sch: FatPointScheme, seed: int) -> str:
     payload = json.dumps(
         {
             "version": CACHE_VERSION,
@@ -345,7 +347,7 @@ def cache_key(sch: FatPointScheme, seed: int, bound: int) -> str:
             "m": sch.multiplicity,
             "points": [[format_rational(c) for c in p] for p in sch.points],
             "seed": seed,
-            "bound": bound,
+            "bound": GIN_BOUND,
         },
         sort_keys=True,
     )

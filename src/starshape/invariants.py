@@ -127,11 +127,10 @@ def compute_power_results(
     base: FatPointScheme,
     m_max: int,
     seed: int = 0,
-    bound: int = 1000,
     cache: GinCache | None = None,
 ) -> list[GinResult]:
     return [
-        compute_gin(base.with_multiplicity(m), seed=gin_seed(seed), bound=bound, cache=cache)
+        compute_gin(base.with_multiplicity(m), seed=gin_seed(seed), cache=cache)
         for m in range(1, m_max + 1)
     ]
 
@@ -196,7 +195,7 @@ def verify_theorem(
     if m_max < n:
         raise ValueError("m_max must be at least n (vertex hits need m = n)")
     star = seeded_star(n, s, mode, seed, bound)
-    results = compute_power_results(star.scheme(1), m_max, seed, bound, cache)
+    results = compute_power_results(star.scheme(1), m_max, seed, cache)
     simplex = AxisSimplex.star(n, s)
     report = _report(n, s, results, simplex)
     rows = report.rows
@@ -218,7 +217,6 @@ def custom_report(
     m_max: int,
     expect_intercepts: Sequence[Fraction] | None = None,
     seed: int = 0,
-    bound: int = 1000,
     cache: GinCache | None = None,
 ) -> InvariantReport:
     """Same per-power pipeline for an arbitrary point scheme.
@@ -238,7 +236,7 @@ def custom_report(
         simplex = AxisSimplex(tuple(Fraction(a) for a in expect_intercepts))
         if simplex.n != base.dim:
             raise ValueError("expected vertex list has the wrong length")
-    results = compute_power_results(base, m_max, seed, bound, cache)
+    results = compute_power_results(base, m_max, seed, cache)
     report = _report(base.dim, None, results, simplex)
     if simplex is not None:
         report.verdicts["VLIM"] = all(

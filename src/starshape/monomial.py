@@ -15,19 +15,6 @@ from math import comb
 Exponents = tuple[int, ...]
 
 
-def revlex_cmp(u: Exponents, v: Exponents) -> int:
-    """Three-way compare: -1 if u < v, 0 if equal, +1 if u > v."""
-    if len(u) != len(v):
-        raise ValueError("exponent vectors of different lengths")
-    du, dv = sum(u), sum(v)
-    if du != dv:
-        return 1 if du > dv else -1
-    for a, b in zip(reversed(u), reversed(v)):
-        if a != b:
-            return 1 if a < b else -1
-    return 0
-
-
 def descending_key(u: Exponents):
     """Sort key: ascending on it == descending reverse-lexicographic."""
     return (-sum(u), tuple(reversed(u)))

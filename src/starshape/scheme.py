@@ -153,7 +153,6 @@ class StarConfiguration:
     s: int
     hyperplanes: tuple[tuple[int, ...], ...]
     points: tuple[Coords, ...]
-    provenance: str
 
     def scheme(self, multiplicity: int = 1) -> FatPointScheme:
         return FatPointScheme(self.n, self.points, multiplicity)
@@ -214,7 +213,7 @@ def build_star(
         pts = _points_from_hyperplanes(n, planes)
         if pts is None:
             raise DegenerateConfigurationError("vandermonde family degenerated")
-        return StarConfiguration(n, s, planes, tuple(pts), "vandermonde")
+        return StarConfiguration(n, s, planes, tuple(pts))
     if mode == "seeded":
         rng = SeededRng(seed)
         for _ in range(100):
@@ -226,9 +225,7 @@ def build_star(
                 continue
             pts = _points_from_hyperplanes(n, planes)
             if pts is not None:
-                return StarConfiguration(
-                    n, s, planes, tuple(pts), f"seeded:{seed}:{bound}"
-                )
+                return StarConfiguration(n, s, planes, tuple(pts))
         raise DegenerateConfigurationError(
             "no valid hyperplane family after 100 seeded attempts"
         )

@@ -34,12 +34,10 @@ Facet = tuple[tuple[int, ...], Fraction]
 
 @dataclass(frozen=True)
 class Shape:
-    """Staircase shape: pairwise-incomparable generator points, with the
-    scale they have been divided by (1 for an unscaled ideal)."""
+    """Staircase shape: pairwise-incomparable generator points."""
 
     num_vars: int
     points: tuple[Point, ...]
-    scale: Fraction = Fraction(1)
 
     def __post_init__(self) -> None:
         if not self.points:
@@ -59,7 +57,6 @@ class Shape:
                 ):
                     raise ValueError(f"comparable generator points {p} and {q}")
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "scale", Fraction(self.scale))
 
     @cached_property
     def facets(self) -> tuple[Facet, ...]:
@@ -150,11 +147,7 @@ def scaled(sh: Shape, m: int) -> Shape:
     """Divide every generator point by m (exact rationals)."""
     if m < 1:
         raise ValueError("scale factor must be a positive integer")
-    return Shape(
-        sh.num_vars,
-        tuple(tuple(c / m for c in p) for p in sh.points),
-        sh.scale / m,
-    )
+    return Shape(sh.num_vars, tuple(tuple(c / m for c in p) for p in sh.points))
 
 
 def axis_intercept(sh: Shape, i: int) -> Fraction | None:
@@ -244,10 +237,7 @@ def q_volume_estimate(
         if t is None:
             raise UnboundedRegionError("missing pure power: Q is unbounded")
         ts.append(t)
-    box_volume = Fraction(1)
-    for t in ts:
-        box_volume *= t
-    box_volume /= factorial(n)
+    box_volume = AxisSimplex(tuple(ts)).volume
     rng = SeededRng(seed)
     hits = 0
     for _ in range(samples):

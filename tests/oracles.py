@@ -1,6 +1,8 @@
 """Independent oracles the tests compare the library against.
 
 The eliminations here share no code with the library's decision path.
+revlex_cmp compares monomials by the definition of the order, with no sort
+key, so it checks the order monomials_of_degree lists them in.
 The rank-based oracles (hf_symbolic, gin_degree, alpha) build their
 condition rows entry by entry (naive_condition_rows), not with the
 library's factor tables, and take their ranks from echelon_int, a
@@ -16,10 +18,25 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Sequence
 
+from starshape.gin import GIN_BOUND
 from starshape.linalg import random_invertible_matrix
 from starshape.monomial import dimension_of_degree, monomials_of_degree
 from starshape.rng import SeededRng
 from starshape.scheme import transform_scheme
+
+
+def revlex_cmp(u, v):
+    """Three-way compare in revlex refining degree: -1 if u < v, 0 if
+    equal, +1 if u > v."""
+    if len(u) != len(v):
+        raise ValueError("exponent vectors of different lengths")
+    du, dv = sum(u), sum(v)
+    if du != dv:
+        return 1 if du > dv else -1
+    for a, b in zip(reversed(u), reversed(v)):
+        if a != b:
+            return 1 if a < b else -1
+    return 0
 
 
 def naive_rref(rows, order):
@@ -229,31 +246,12 @@ def two_step_gin_degree(sch, d, g):
 
 def coordinate_change_for(res, which=0):
     """Rebuild one of the coordinate changes a result was computed with."""
-    return random_invertible_matrix(SeededRng(res.seeds_used[which]), res.n + 1, res.bound)
+    return random_invertible_matrix(SeededRng(res.seeds_used[which]), res.n + 1, GIN_BOUND)
 
 
 # --- Newton-polyhedron geometry.
 
 LE, EQ, GE = "<=", "=", ">="
-
-
-def solve_square(rows, rhs):
-    """Unique exact solution of a square system, or None."""
-    n = len(rows)
-    m = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, n) if m[i][c] != 0), None)
-        if piv is None:
-            return None
-        m[r], m[piv] = m[piv], m[r]
-        m[r] = [x / m[r][c] for x in m[r]]
-        for i in range(n):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        r += 1
-    return [m[i][n] for i in range(n)]
 
 
 def brute_force_feasible(rows, rels, rhs, nvars):
@@ -265,11 +263,15 @@ def brute_force_feasible(rows, rels, rhs, nvars):
         for i in range(nvars)
     ]
     for subset in combinations(range(len(planes)), nvars):
-        candidate = solve_square(
-            [planes[i][0] for i in subset], [planes[i][1] for i in subset]
+        # The vertex solves A x = b for the chosen planes: the kernel of
+        # [A | -b] is one vector with last entry 1 exactly when A is
+        # invertible (otherwise a column of A is free before the last).
+        rank, kernel = naive_rank_and_kernel(
+            [list(planes[i][0]) + [-planes[i][1]] for i in subset], nvars + 1
         )
-        if candidate is None:
+        if rank < nvars or not kernel[0][nvars]:
             continue
+        candidate = kernel[0][:nvars]
         if any(x < 0 for x in candidate):
             continue
         ok = True

@@ -70,6 +70,16 @@ def test_verify_star24_passes(tmp_path):
     assert doc["rows"][1]["t"] == [4, 6]
 
 
+def test_small_coeff_bound_bounds_only_the_seeded_star(capsys):
+    # The hyperplanes come from [-2, 2]; the GIN coordinate changes keep
+    # their own bound, so their draws stay generic.
+    rc = run("verify", "--n", "2", "--s", "6", "--m-max", "2", "--mode", "seeded",
+             "--coeff-bound", "2", "--no-cache")
+    assert rc == 0
+    verdicts = [line for line in capsys.readouterr().out.splitlines() if line.startswith("V")]
+    assert verdicts == [f"V{i}: pass" for i in range(1, 6)]
+
+
 def test_verify_usage_error_m_max_below_n():
     assert run("verify", "--n", "2", "--s", "4", "--m-max", "1") == 2
 
@@ -199,6 +209,8 @@ def test_flags_rejected_before_any_output(tmp_path, monkeypatch):
         ["custom", "--points", "conic", "--m-max", "1", "--json", str(out),
          "--expect-vertices=-1,3"],
         ["custom", "--points", str(double), "--m-max", "1", "--json", str(out)],
+        ["custom", "--points", "conic", "--m-max", "1", "--coeff-bound", "1000",
+         "--json", str(out)],
     ):
         assert run(*argv, "--cache", str(cache)) == 2
         assert not out.exists() and not svg.exists() and not cache.exists()

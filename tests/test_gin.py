@@ -233,7 +233,7 @@ def test_memory_cache_hits():
     a = compute_gin(sch, seed=1, cache=cache)
     b = compute_gin(sch, seed=1, cache=cache)
     assert a is b
-    assert cache.get(cache_key(sch, 1, 1000)) is a
+    assert cache.get(cache_key(sch, 1)) is a
 
 
 def test_file_cache_roundtrip(tmp_path):
@@ -243,7 +243,7 @@ def test_file_cache_roundtrip(tmp_path):
     fresh = FileGinCache(str(tmp_path))
     b = compute_gin(sch, seed=1, cache=fresh)
     assert same_math(a, b) and a == b
-    assert FileGinCache(str(tmp_path)).get(cache_key(sch, 1, 1000)) == a
+    assert FileGinCache(str(tmp_path)).get(cache_key(sch, 1)) == a
     assert len(list(tmp_path.glob("*.json"))) == 1
     assert not list(tmp_path.glob("*.tmp"))
 
@@ -251,9 +251,8 @@ def test_file_cache_roundtrip(tmp_path):
 def test_cache_key_distinguishes_inputs():
     s1 = build_star(2, 3).scheme(1)
     s2 = build_star(2, 3).scheme(2)
-    assert cache_key(s1, 1, 1000) != cache_key(s2, 1, 1000)
-    assert cache_key(s1, 1, 1000) != cache_key(s1, 2, 1000)
-    assert cache_key(s1, 1, 1000) != cache_key(s1, 1, 500)
+    assert cache_key(s1, 1) != cache_key(s2, 1)
+    assert cache_key(s1, 1) != cache_key(s1, 2)
 
 
 def test_cache_keys_and_star_points_are_pinned():
@@ -266,10 +265,10 @@ def test_cache_keys_and_star_points_are_pinned():
     assert build_star(2, 3, mode="seeded", seed=12, bound=3).points == (
         (Fraction(2, 3), 1, 0), (-3, -3, 1), (1, 0, 0)
     )
-    assert cache_key(build_star(2, 3).scheme(2), 0, 1000) == (
+    assert cache_key(build_star(2, 3).scheme(2), 0) == (
         "6b34482fcf76549d77e586a9d9a09f8bfac7a2375b689e2aaf1785b7928eab31"
     )
-    assert cache_key(build_star(3, 5).scheme(1), 0, 1000) == (
+    assert cache_key(build_star(3, 5).scheme(1), 0) == (
         "fe982b31ec74c1b0b52c65a2e4b1ff41f466825dc3ea89af45e9f8221fd67413"
     )
     stars = {
@@ -283,7 +282,7 @@ def test_cache_keys_and_star_points_are_pinned():
             build_star(3, 4, mode="seeded", seed=11, bound=50),
     }
     for digest, star in stars.items():
-        assert cache_key(star.scheme(1), 0, 1000) == digest
+        assert cache_key(star.scheme(1), 0) == digest
 
 
 def test_close_points_still_compute_exactly():
@@ -297,13 +296,18 @@ def test_close_points_still_compute_exactly():
     assert res.colength == 2
 
 
-def test_unsaturated_input_is_rejected_loudly():
+def test_unsaturated_input_is_rejected_loudly(monkeypatch):
     # A scheme argument is always saturated by construction here, so the
     # genericity machinery should never report a last-variable generator;
-    # this guards the retry loop's failure path instead.
-    sch = build_star(2, 3).scheme(1)
-    with pytest.raises(GenericityError):
-        compute_gin(sch, seed=1, bound=2, max_retries=0)
+    # this guards the retry loop's failure path instead: every draw fails,
+    # and the error lists each of the GIN_DRAWS failures.
+    def fails(*args):
+        raise GenericityError("draw refused")
+
+    monkeypatch.setattr(gin, "_run_pair", fails)
+    with pytest.raises(GenericityError, match="after 3 attempts") as info:
+        compute_gin(build_star(2, 3).scheme(1), seed=1)
+    assert str(info.value).count("draw refused") == gin.GIN_DRAWS == 3
 
 
 def test_zero_kernel_mod_p_is_settled_without_q_elimination(lift_calls):
@@ -430,7 +434,7 @@ def test_failed_certificate_redraws(monkeypatch):
 
     monkeypatch.setattr(gin, "certified_free_columns", fails_once)
     res = compute_gin(sch, seed=2)
-    assert res.seeds_used == gin._seed_pairs(2, 3)[1] != clean.seeds_used
+    assert res.seeds_used == gin._seed_pairs(2)[1] != clean.seeds_used
     assert res.min_generators == clean.min_generators
 
 
@@ -458,7 +462,7 @@ def test_candidate_missing_a_generator_fails_the_proof(monkeypatch):
     monkeypatch.setattr(gin, "free_columns_mod_p", moved_generator)
     g1, g2 = coordinate_change_for(clean, 0), coordinate_change_for(clean, 1)
     with pytest.raises(GenericityError, match="degree-3 generators fail the proof"):
-        gin._run_pair(sch, g1, g2, clean.seeds_used, clean.bound)
+        gin._run_pair(sch, g1, g2, clean.seeds_used)
     with pytest.raises(GenericityError, match="after 3 attempts"):
         compute_gin(sch, seed=1)
 
@@ -485,7 +489,7 @@ def test_witness_mismatch_raises_and_compute_gin_redraws(monkeypatch):
     monkeypatch.setattr(gin, "free_columns_mod_p", phantom_witness_column)
     g1, g2 = coordinate_change_for(clean, 0), coordinate_change_for(clean, 1)
     with pytest.raises(GenericityError, match="disagree in degree 3"):
-        gin._run_pair(sch, g1, g2, clean.seeds_used, clean.bound)
+        gin._run_pair(sch, g1, g2, clean.seeds_used)
     monkeypatch.setattr(gin, "_run_pair", counting_run_pair)
     res = compute_gin(sch, seed=1)
     assert len(pairs) == 2 and pairs[0] == clean.seeds_used
@@ -547,7 +551,8 @@ DAMAGES = {
 }
 # Documents that are exactly what their generators define, so the cache
 # reads them back; compute_gin's request and _validate checks reject them.
-SELF_CONSISTENT = {"other-m", "other-bound", "foreign-seeds", "consistent-forgery"}
+# A bound other than GIN_BOUND is not canonical, so it is a miss.
+SELF_CONSISTENT = {"other-m", "foreign-seeds", "consistent-forgery"}
 
 
 @pytest.mark.parametrize("case", DAMAGES)

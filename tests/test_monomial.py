@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import revlex_cmp
 from starshape.monomial import (
     MonomialIdeal,
     dimension_of_degree,
     minimalize,
     monomials_of_degree,
-    revlex_cmp,
 )
 
 # The computed gin of the 2nd symbolic power for 3 general plane points,
@@ -34,8 +34,12 @@ def test_revlex_rejects_length_mismatch():
 
 
 def test_revlex_total_order_small_exhaustive():
-    # All monomial pairs of degree <= 4 in <= 3 variables.
+    # All monomial pairs of degree <= 4 in <= 3 variables; each degree is
+    # listed strictly descending.
     for nv in (1, 2, 3):
+        for d in range(5):
+            listed = monomials_of_degree(nv, d)
+            assert all(revlex_cmp(u, v) == 1 for u, v in zip(listed, listed[1:]))
         mons = [u for d in range(5) for u in monomials_of_degree(nv, d)]
         for u in mons:
             assert revlex_cmp(u, u) == 0

@@ -94,7 +94,6 @@ def test_shape_of_and_scaled_examples(star_gin):
         (F(1, 2), F(3, 2)),
         (F(0), F(2)),
     }
-    assert half.scale == F(1, 2)
     single = shape2((1, 1))
     assert scaled(single, 1).points == single.points
     unit = shape_of(star_gin(3, 3, 1))
