@@ -51,8 +51,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
             p.add_argument("--n", type=int, required=True, help="ambient projective dimension")
             p.add_argument("--s", type=int, required=True, help="number of hyperplanes")
             p.add_argument("--mode", choices=("vandermonde", "seeded"), default="vandermonde")
-            p.add_argument("--coeff-bound", type=int, default=1000, dest="coeff_bound",
-                           help="coefficient range [-B, B] of the seeded hyperplanes")
+            p.add_argument("--coeff-bound", type=int, dest="coeff_bound",
+                           help="coefficient range [-B, B] of the seeded hyperplanes "
+                           "(--mode seeded only; default 1000)")
         p.add_argument("--seed", type=int, default=0, help="64-bit master seed")
         p.add_argument("--json", dest="json_path", help="write a JSON report here")
         p.add_argument("--csv", dest="csv_path", help="write a CSV table here")
@@ -162,7 +163,11 @@ def _check_common(args, parser) -> None:
     if args.command != "custom":
         if not 1 <= args.n <= args.s:
             parser.error("need --s >= --n >= 1")
-        if args.coeff_bound < 2:
+        if args.coeff_bound is None:
+            args.coeff_bound = 1000
+        elif args.mode != "seeded":
+            parser.error("--coeff-bound applies only with --mode seeded")
+        elif args.coeff_bound < 2:
             parser.error("--coeff-bound must be at least 2")
     directory = _cache_dir(args)
     if directory:

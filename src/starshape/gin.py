@@ -40,7 +40,8 @@ colength are derived from them.  One rule serves a cache hit: it answers
 the request (n, m, and seeds_used one of the pairs the seed draws),
 passes the same _validate as a fresh result, and a file is byte for byte
 the document its generators define.  Anything else is a miss, recomputed
-and rewritten.
+and rewritten.  A file whose generators include one of degree above the
+scheme's length is a miss before anything is derived from it.
 """
 
 from __future__ import annotations
@@ -275,7 +276,7 @@ def compute_gin(
     key = cache_key(sch, seed)
     pairs = _seed_pairs(seed)
     if cache is not None:
-        hit = cache.get(key)
+        hit = cache.get(key, sch.fat_point_degree())
         if hit is not None and _serves(hit, sch, pairs):
             return hit
     k = sch.dim + 1
@@ -360,7 +361,9 @@ class GinCache:
     def __init__(self) -> None:
         self._store: dict[str, GinResult] = {}
 
-    def get(self, key: str) -> GinResult | None:
+    def get(self, key: str, length: int) -> GinResult | None:
+        """The result stored under key; length, the request's scheme
+        length, bounds what a file cache will read."""
         return self._store.get(key)
 
     def put(self, key: str, res: GinResult) -> None:
@@ -378,8 +381,8 @@ class FileGinCache(GinCache):
     def _path(self, key: str) -> str:
         return os.path.join(self.directory, key + ".json")
 
-    def get(self, key: str) -> GinResult | None:
-        hit = super().get(key)
+    def get(self, key: str, length: int) -> GinResult | None:
+        hit = super().get(key, length)
         if hit is not None:
             return hit
         path = self._path(key)
@@ -388,7 +391,14 @@ class FileGinCache(GinCache):
         with open(path, "rb") as fh:
             data = fh.read()
         try:
-            res = result_from_json(json.loads(data))
+            doc = json.loads(data)
+            # An answer has colength `length`, and every minimal generator
+            # of an artinian monomial ideal of colength L has degree at most
+            # L: reject a larger one before deriving the Hilbert function,
+            # whose cost grows with the pure powers.
+            if any(sum(map(int, g)) > length for g in doc["generators_full"]):
+                return None
+            res = result_from_json(doc)
             canonical = json.dumps(result_to_json(res), sort_keys=True)
         except Exception:
             # Outside input: whatever fails to decode or derive is a miss,

@@ -20,11 +20,21 @@ back on: a proof that fails is reported, and the caller redraws its
 coordinate change.  The only exact elimination is determinant (Bareiss),
 on the small square matrices of coordinate changes and hyperplane
 systems.
+
+The mod-p work packs each row into one big integer, one slot per entry, so
+a row operation is one multiply-add.  p is below 2**26, so a slot that
+takes up to 2,047 updates of less than p**2 fits one 64-bit word, and
+packing and unpacking go through array('Q') at C speed.  Slot j holds bits
+[64j, 64j + 64) of the integer whatever the host's byte order.  Slots of
+other widths (more than 2,047 updates, or Dixon residuals sized by their
+entries) go byte by byte.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from fractions import Fraction
 from operator import mul
 from typing import Sequence
@@ -66,24 +76,38 @@ def clear_denominators(row: Sequence[Fraction | int]) -> list[int]:
     return ints
 
 
-MODULUS = 1073741789  # the largest prime below 2**30
+# The largest prime below 2**26: then (p - 1)**2 * u + p < 2**64 for up to
+# u = 2,047 updates, so a slot is one machine word (_slot_bytes).
+MODULUS = 67108859
+_SWAP = sys.byteorder == "big"
 
 
 def _pack(vals: Sequence[int], nb: int) -> int:
     """One integer holding vals[j] in bytes [j*nb, (j+1)*nb), for
     0 <= vals[j] < 256**nb."""
+    if nb == 8:
+        words = array("Q", vals)
+        if _SWAP:
+            words.byteswap()
+        return int.from_bytes(words, "little")
     return int.from_bytes(b"".join(v.to_bytes(nb, "little") for v in vals), "little")
 
 
 def _unpack(x: int, nb: int, count: int) -> list[int]:
     """The first count slots of a _pack result whose slots did not overflow."""
     buf = x.to_bytes(nb * count, "little")
+    if nb == 8:
+        words = array("Q", buf)
+        if _SWAP:
+            words.byteswap()
+        return words.tolist()
     return [int.from_bytes(buf[j * nb:(j + 1) * nb], "little") for j in range(count)]
 
 
 def _slot_bytes(updates: int) -> int:
     """Bytes per slot for values below p that take up to `updates` additions
-    of (p - b) * y < p**2 each before they are reduced."""
+    of (p - b) * y < p**2 each before they are reduced: 8, one 64-bit word,
+    for up to 2,047 updates."""
     return (2 * MODULUS.bit_length() + updates.bit_length() + 8) // 8
 
 
@@ -106,7 +130,8 @@ def pivot_profile_mod_p(
     Slots stay non-negative and are reduced only when their row becomes
     the pivot row: a slot starts below p and gains (p - b) * y < p**2 per
     pivot, so w = 2*bits(p) + bits(ncols) + 1 bits, rounded up to whole
-    bytes, never overflow.
+    bytes, never overflow.  With p < 2**26 that is one 64-bit word for up
+    to 2,047 columns (the largest matrix here has 561).
     """
     p = MODULUS
     nb = _slot_bytes(ncols)
@@ -142,8 +167,8 @@ def free_columns_mod_p(rows: Sequence[Sequence[int]], ncols: int) -> list[int]:
 
 def _inverse_columns_mod_p(mat: list[list[int]]) -> list[int] | None:
     """The columns of mat**-1 mod MODULUS, each packed with
-    _slot_bytes(len(mat)) bytes per slot, slots reduced below p; None if mat
-    is singular mod p.
+    _slot_bytes(len(mat)) bytes per slot (one 64-bit word up to 2,047
+    rows), slots reduced below p; None if mat is singular mod p.
 
     Gauss-Jordan on the rows of [mat^T | I], whose right half ends as the
     transpose of mat**-1.  Slots are reduced only in the pivot row, as in
@@ -209,21 +234,21 @@ def _reconstruct(xs: list[int], modulus: int, bound: int) -> tuple[int, list[int
 
 
 def _dixon_solve(
-    square: list[list[int]], rhs: list[list[int]]
+    square: list[list[int]], rhs: list[list[int]], inv_cols: list[int]
 ) -> list[tuple[int, list[int]]] | None:
     """For each b in rhs, the primitive integer solution of square * x = b:
-    (den, nums) with den > 0 and square * nums = den * b; None when square
-    is singular mod p or the lifting does not converge.
+    (den, nums) with den > 0 and square * nums = den * b; None when the
+    lifting does not converge.  inv_cols are the columns of square**-1 mod
+    p as _inverse_columns_mod_p packs them.
 
-    Dixon's p-adic lifting (Numer. Math. 1982) with symmetric digits: one
-    inverse of square mod p, then per step digit = square**-1 * residual
-    mod p and residual = (residual - square * digit) / p, exactly.  All
-    right-hand sides are lifted in one loop; square's columns and each
-    residual are packed into big integers, so a step costs a few
-    multiply-adds per column.  Every other step the right-hand sides try a
-    rational reconstruction, last first, and drop out once it succeeds;
-    the first failure ends the round, so callers put the solutions
-    expected to be widest first.  The reconstruction keeps 20 bits of
+    Dixon's p-adic lifting (Numer. Math. 1982) with symmetric digits: per
+    step digit = square**-1 * residual mod p and residual = (residual -
+    square * digit) / p, exactly.  All right-hand sides are lifted in one
+    loop; square's columns and each residual are packed into big integers,
+    so a step costs a few multiply-adds per column.  Every other step the
+    right-hand sides try a rational reconstruction, last first, and drop
+    out once it succeeds; the first failure ends the round, so callers put
+    the solutions expected to be widest first.  The reconstruction keeps 20 bits of
     margin on both the numerators and the denominator, which makes a false
     one about as likely as 2**-40; a false one still fails the exact
     checks of the caller.  The step cap is where Hadamard's bound on every
@@ -232,9 +257,6 @@ def _dixon_solve(
     """
     p = MODULUS
     r = len(square)
-    inv_cols = _inverse_columns_mod_p(square)
-    if inv_cols is None:
-        return None
     nb = _slot_bytes(r)
     top = max(abs(v) for row in (*square, *rhs) for v in row).bit_length()
     # A residual slot stays below r * 2**top * p in absolute value, also
@@ -282,12 +304,14 @@ def _kernel_certificates(
     heads: list[int],
     eqs: list[int],
     basis: list[int],
+    inverse: list[int],
     ordered: bool = False,
 ) -> list[list[int]] | None:
     """Checked integer kernel vectors of mat, one for each column h in
     heads: v[h] != 0, the other entries on the columns in basis, and
     mat v = 0 exactly on every row; None when _dixon_solve fails or a
-    vector fails a check.
+    vector fails a check.  inverse holds the packed columns of
+    mat[eqs][basis]**-1 mod p.
 
     Each v solves mat[eqs][basis] x = -mat[eqs][h] with _dixon_solve,
     heads in the order given (the widest expected first), so its support
@@ -296,7 +320,7 @@ def _kernel_certificates(
     basis columns below h, the ones scanned after it.
     """
     square = [[mat[i][c] for c in basis] for i in eqs]
-    sols = _dixon_solve(square, [[-mat[i][h] for i in eqs] for h in heads])
+    sols = _dixon_solve(square, [[-mat[i][h] for i in eqs] for h in heads], inverse)
     if sols is None:
         return None
     kernel = []
@@ -346,7 +370,11 @@ def certified_free_columns(
     column needs none.  Without pivots the rows are the certificate: every
     column is free over Q only if every row is zero.  Both kinds come from
     _kernel_certificates, a dual certificate as a kernel vector of the
-    transpose, and nothing the lifting returns is trusted unchecked.
+    transpose, and nothing the lifting returns is trusted unchecked.  Both
+    kinds solve with B = rows[pivot_rows][pivots], invertible mod p by the
+    profile: column certificates with B, dual ones with its transpose.  So
+    B is inverted once, and the rows of B**-1 serve as the columns of
+    (B^T)**-1.
     """
     free, pivots, pivot_rows = pivot_profile_mod_p(rows, ncols)
     if not free:
@@ -360,12 +388,22 @@ def certified_free_columns(
         cols = interleaved
     else:
         cols, spare = free, []
+    if not cols and not spare:
+        return free
+    inverse = _inverse_columns_mod_p([[rows[i][c] for c in pivots] for i in pivot_rows])
+    if inverse is None:
+        return None
     # Kernel vectors tend to grow as the column index falls, left-kernel
     # vectors with the row index: both lists go widest first.
-    if cols and _kernel_certificates(rows, cols, pivot_rows, pivots, ordered=True) is None:
+    if cols and _kernel_certificates(
+            rows, cols, pivot_rows, pivots, inverse, ordered=True) is None:
         return None
-    if spare and _kernel_certificates(list(zip(*rows)), spare[::-1], pivots, pivot_rows) is None:
-        return None
+    if spare:
+        r = len(pivots)
+        nb = _slot_bytes(r)
+        inverse = [_pack(row, nb) for row in zip(*(_unpack(x, nb, r) for x in inverse))]
+        if _kernel_certificates(list(zip(*rows)), spare[::-1], pivots, pivot_rows, inverse) is None:
+            return None
     return free
 
 

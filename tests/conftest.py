@@ -36,9 +36,9 @@ def lift_calls(monkeypatch):
     calls = []
     lift = linalg._kernel_certificates
 
-    def spy(mat, heads, eqs, basis, ordered=False):
+    def spy(mat, heads, eqs, basis, inverse, ordered=False):
         calls.append(("columns", heads) if ordered else ("rows", heads[::-1]))
-        return lift(mat, heads, eqs, basis, ordered=ordered)
+        return lift(mat, heads, eqs, basis, inverse, ordered=ordered)
 
     monkeypatch.setattr(linalg, "_kernel_certificates", spy)
     return calls

@@ -211,6 +211,12 @@ def test_flags_rejected_before_any_output(tmp_path, monkeypatch):
         ["custom", "--points", str(double), "--m-max", "1", "--json", str(out)],
         ["custom", "--points", "conic", "--m-max", "1", "--coeff-bound", "1000",
          "--json", str(out)],
+        # --coeff-bound bounds only the seeded hyperplanes.
+        ["star", "--n", "2", "--s", "3", "--m", "1", "--coeff-bound", "7", "--json", str(out)],
+        ["verify", "--n", "2", "--s", "3", "--m-max", "2", "--mode", "vandermonde",
+         "--coeff-bound", "1000", "--json", str(out)],
+        ["invariants", "--n", "2", "--s", "3", "--m-max", "1", "--coeff-bound", "50",
+         "--json", str(out)],
     ):
         assert run(*argv, "--cache", str(cache)) == 2
         assert not out.exists() and not svg.exists() and not cache.exists()

@@ -233,7 +233,7 @@ def test_memory_cache_hits():
     a = compute_gin(sch, seed=1, cache=cache)
     b = compute_gin(sch, seed=1, cache=cache)
     assert a is b
-    assert cache.get(cache_key(sch, 1)) is a
+    assert cache.get(cache_key(sch, 1), sch.fat_point_degree()) is a
 
 
 def test_file_cache_roundtrip(tmp_path):
@@ -243,7 +243,7 @@ def test_file_cache_roundtrip(tmp_path):
     fresh = FileGinCache(str(tmp_path))
     b = compute_gin(sch, seed=1, cache=fresh)
     assert same_math(a, b) and a == b
-    assert FileGinCache(str(tmp_path)).get(cache_key(sch, 1)) == a
+    assert FileGinCache(str(tmp_path)).get(cache_key(sch, 1), sch.fat_point_degree()) == a
     assert len(list(tmp_path.glob("*.json"))) == 1
     assert not list(tmp_path.glob("*.tmp"))
 
@@ -367,7 +367,7 @@ def test_tampered_lift_is_refused_and_q_decides(monkeypatch, lift_calls, solutio
     # between the pivots 2 and 0, so it needs a column certificate.  Over
     # Q column 1 is a pivot and column 0 is free.
     rows = [[0, 0, 1], [1, MODULUS, 0]]
-    monkeypatch.setattr(linalg, "_dixon_solve", lambda square, rhs: [solution])
+    monkeypatch.setattr(linalg, "_dixon_solve", lambda square, rhs, inv_cols: [solution])
     assert free_columns_mod_p(rows, 3) == [1]
     assert certified_free_columns(rows, 3) is None
     assert lift_calls == [("columns", [1])]
@@ -564,10 +564,33 @@ def test_broken_cache_file_is_a_miss_and_gets_rewritten(tmp_path, case):
     damaged = DAMAGES[case](intact.decode("utf-8"))
     assert damaged.encode("utf-8") != intact
     path.write_text(damaged, encoding="utf-8")
-    read = FileGinCache(str(tmp_path)).get(path.stem)
+    read = FileGinCache(str(tmp_path)).get(path.stem, sch.fat_point_degree())
     assert (read is not None) == (case in SELF_CONSISTENT)
     res = compute_gin(sch, seed=1, cache=FileGinCache(str(tmp_path)))
     assert res == good
     assert path.read_bytes() == intact
     assert not list(tmp_path.glob("*.tmp"))
 
+
+def test_cache_read_is_bounded_by_the_request(tmp_path, monkeypatch):
+    # star(2,3) m=2 has length 9, so no answer has a generator of degree
+    # above 9.  A canonical document for (x^100, y^100) is a miss before
+    # its Hilbert function, whose cost grows with the pure powers, is
+    # derived.
+    sch = build_star(2, 3).scheme(2)
+    good = compute_gin(sch, seed=1)
+    forged = replace(good, min_generators=MonomialIdeal(3, [(100, 0, 0), (0, 100, 0)]))
+    path = tmp_path / f"{cache_key(sch, 1)}.json"
+    path.write_text(json.dumps(result_to_json(forged), sort_keys=True), encoding="utf-8")
+    derived = []
+    hilbert_values = MonomialIdeal.hilbert_values
+
+    def spy(ideal):
+        derived.append(ideal)
+        return hilbert_values(ideal)
+
+    monkeypatch.setattr(MonomialIdeal, "hilbert_values", spy)
+    assert FileGinCache(str(tmp_path)).get(path.stem, sch.fat_point_degree()) is None
+    assert derived == []
+    assert compute_gin(sch, seed=1, cache=FileGinCache(str(tmp_path))) == good
+    assert json.loads(path.read_text(encoding="utf-8")) == result_to_json(good)

@@ -15,6 +15,9 @@ from starshape import linalg
 from starshape.gin import compute_gin
 from starshape.linalg import (
     MODULUS,
+    _pack,
+    _slot_bytes,
+    _unpack,
     certified_free_columns,
     clear_denominators,
     determinant,
@@ -123,11 +126,11 @@ def int_matrices(draw, entries):
 
 
 @settings(max_examples=200)
-@given(int_matrices(st.integers(-9, 9)))
+@given(int_matrices(st.integers(-8, 8)))
 def test_mod_p_profile_matches_exact_on_small_entries(matrix):
-    # Hadamard: every minor is below (9 * 6**0.5)**6 < 2**27 < MODULUS in
-    # absolute value, so p divides no entry and no nonzero minor, and the
-    # two profiles must agree.
+    # Hadamard: every minor is below (8 * 6**0.5)**6 < 2**26 - 5 = MODULUS
+    # in absolute value, so p divides no entry and no nonzero minor, and
+    # the two profiles must agree.
     rows, ncols = matrix
     assert free_columns_mod_p(rows, ncols) == exact_free_columns(rows, ncols)
 
@@ -150,8 +153,9 @@ def test_mod_p_rank_never_exceeds_exact_rank(matrix):
 @st.composite
 def low_rank_matrices(draw):
     # U (rows x k) times V (k x cols), entries in [-2, 2], k <= 3: entries
-    # stay within 12, so by Hadamard every minor is below (12 * 6**0.5)**6
-    # < MODULUS and the profile mod p is the exact one.
+    # stay within 12 and only minors up to 3 x 3 are nonzero, so by
+    # Hadamard every minor is below (12 * 3**0.5)**3 < MODULUS and the
+    # profile mod p is the exact one.
     nrows = draw(st.integers(1, 6))
     ncols = draw(st.integers(1, 6))
     k = draw(st.integers(0, 3))
@@ -163,7 +167,7 @@ def low_rank_matrices(draw):
 
 
 @settings(max_examples=200)
-@given(int_matrices(st.integers(-9, 9)) | low_rank_matrices())
+@given(int_matrices(st.integers(-8, 8)) | low_rank_matrices())
 def test_certificate_proves_the_exact_profile(matrix):
     rows, ncols = matrix
     assert certified_free_columns(rows, ncols) == exact_free_columns(rows, ncols)
@@ -196,8 +200,9 @@ def planted_profiles(draw, kind):
     # free column is a combination of the pivot columns after it.  A = U E
     # with U of full column rank (the identity plus up to three more rows,
     # shuffled), so A has E's profile and rows - r spare rows.  Entries
-    # stay within 9, so by Hadamard every minor is below (9 * 6**0.5)**6 <
-    # MODULUS and the profile mod p is the exact one.
+    # stay within 9 and the rank within 3, so by Hadamard every nonzero
+    # minor is below (9 * 3**0.5)**3 < MODULUS and the profile mod p is the
+    # exact one.
     ncols = draw(st.integers(2, 6))
     r = draw(st.integers(1, min(3, ncols - 1)))
     pivots = sorted(draw(st.sets(st.integers(0, ncols - 1), min_size=r, max_size=r)), reverse=True)
@@ -264,7 +269,7 @@ def test_tampered_dual_certificate_is_refused(monkeypatch, lift_calls, solutions
     # takes the dual certificates.  Over Q the rank is 2 and column 1 is a
     # pivot, so any confirmation would be wrong.
     rows = [[0, 0, 1], [MODULUS, MODULUS, 0], [MODULUS, MODULUS, 0]]
-    monkeypatch.setattr(linalg, "_dixon_solve", lambda square, rhs: solutions)
+    monkeypatch.setattr(linalg, "_dixon_solve", lambda square, rhs, inv_cols: solutions)
     assert free_columns_mod_p(rows, 3) == [0, 1]
     assert certified_free_columns(rows, 3) is None
     assert lift_calls == [("rows", [1, 2])]
@@ -314,3 +319,67 @@ def test_determinant_is_exact_over_q_not_mod_p():
     assert determinant([[MODULUS, 0], [0, 1]]) == MODULUS
     assert determinant([[0, 1], [1, 0]]) == -1
     assert determinant([[2, 4], [1, 2]]) == 0
+
+
+def byte_loop_pack(vals, nb):
+    return int.from_bytes(b"".join(v.to_bytes(nb, "little") for v in vals), "little")
+
+
+@pytest.mark.parametrize("nb", [8, 9])
+@pytest.mark.parametrize(
+    "vals",
+    [[], [0], [MODULUS - 1], [2**64 - 1], [0, MODULUS - 1, 2**64 - 1, 1, 0], list(range(300))],
+    ids=["count-0", "zero", "p-1", "word-max", "mixed", "300-slots"],
+)
+def test_pack_and_unpack_agree_with_the_byte_loop(nb, vals):
+    # Slot j is bytes [j*nb, (j+1)*nb) of the integer, little-endian, on
+    # the 64-bit word path (nb = 8) and the byte loop alike.
+    packed = _pack(vals, nb)
+    assert packed == byte_loop_pack(vals, nb)
+    assert _unpack(packed, nb, len(vals)) == vals
+    assert _unpack(packed >> 8 * nb, nb, max(len(vals) - 1, 0)) == vals[1:]
+
+
+def test_slot_bytes_hold_every_update():
+    # A slot starts below p and takes up to u updates below (p - 1)**2; one
+    # 64-bit word holds that up to 2,047 updates, the largest matrix here
+    # has 561 columns.
+    for u in range(4097):
+        nb = _slot_bytes(u)
+        assert (MODULUS - 1) ** 2 * u + MODULUS < 256**nb
+        assert (nb <= 8) == (u < 2048)
+
+
+@pytest.mark.parametrize("spare_row", [False, True], ids=["full-row-rank", "spare-row"])
+def test_wide_profile_takes_the_byte_loop_and_matches_exact(spare_row):
+    # Over 2,047 columns a slot needs 9 bytes, so the profile packs byte by
+    # byte; with a spare row the proof also takes a dual certificate.
+    ncols = 2100
+    assert _slot_bytes(ncols) == 9
+    rows = [[(i + 2) * j % 11 - 5 for j in range(ncols)] for i in range(2)]
+    rows.append([a + b for a, b in zip(*rows)] if spare_row else [j % 7 for j in range(ncols)])
+    rows[0][-1] = rows[1][-1] = rows[2][-1] = 0  # the last column is free
+    exact = exact_free_columns(rows, ncols)
+    assert free_columns_mod_p(rows, ncols) == exact
+    assert certified_free_columns(rows, ncols) == exact
+
+
+def test_mixed_degree_inverts_its_square_system_once(monkeypatch, lift_calls):
+    # Columns 3 and 1 are pivots; column 2 = 2 * column 3 is free between
+    # them, column 0 = column 3 + 3 * column 1 is free below them, and row
+    # 2 = row 0 + row 1 is spare.  One spare row plus one interleaved
+    # column is no more than the two free columns, so the degree takes a
+    # dual and a column certificate: both solve with B = rows[0, 1][3, 1]
+    # or its transpose, which is inverted once.
+    rows = [[4, 1, 2, 1], [3, 1, 0, 0], [7, 2, 2, 1]]
+    inverses = []
+    invert = linalg._inverse_columns_mod_p
+
+    def spy(mat):
+        inverses.append(mat)
+        return invert(mat)
+
+    monkeypatch.setattr(linalg, "_inverse_columns_mod_p", spy)
+    assert certified_free_columns(rows, 4) == exact_free_columns(rows, 4) == [0, 2]
+    assert lift_calls == [("columns", [2]), ("rows", [2])]
+    assert inverses == [[[1, 1], [0, 1]]]
