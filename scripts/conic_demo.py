@@ -21,7 +21,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 from starshape.invariants import custom_report
 from starshape.linalg import format_rational
 from starshape.scheme import load_points
-from starshape.shape import AxisSimplex, scaled, shape_of, staircase_svg
+from starshape.shape import staircase_svg
 
 CONIC = pathlib.Path(__file__).resolve().parents[1] / "src/starshape/data/conic.json"
 
@@ -40,10 +40,10 @@ def main() -> int:
         expect_intercepts=[Fraction(2), Fraction(3)],
         seed=args.seed,
     )
-    for row in report.rows:
+    for r in report.results:
         print(
-            f"m={row.m}: alpha={row.alpha} (=2m), t={list(row.t)} "
-            f"(t2 = 3m+1), reg={row.reg}, colength={row.colength}"
+            f"m={r.m}: alpha={r.alpha()} (=2m), t={r.t_vector()} "
+            f"(t2 = 3m+1), reg={r.regularity()}, colength={r.colength}"
         )
     print("scaled areas: " + ", ".join(format_rational(a) for a in report.areas))
     print(f"waldschmidt upper bound: {format_rational(report.waldschmidt_min)} "
@@ -51,10 +51,7 @@ def main() -> int:
           f"{format_rational(report.asreg_estimate)} (true limit 3)")
     print(f"verdicts against intercepts (2, 3): {report.verdicts}")
     if args.svg_path:
-        last = report.results[-1]
-        svg = staircase_svg(
-            scaled(shape_of(last), last.m), AxisSimplex((Fraction(2), Fraction(3)))
-        )
+        svg = staircase_svg(report.shapes[-1], report.expected)
         pathlib.Path(args.svg_path).write_text(svg, encoding="utf-8")
         print(f"wrote {args.svg_path}")
     return 0 if report.all_pass() else 1

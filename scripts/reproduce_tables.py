@@ -52,9 +52,9 @@ def main() -> int:
               f"[{'ok' if ok else 'FAIL'}, {elapsed:.1f}s]")
         print(f"   predicted intercepts: "
               + ", ".join(format_rational(a) for a in report.expected.intercepts))
-        for row in report.rows:
-            print(f"   m={row.m}: alpha={row.alpha} t={list(row.t)} "
-                  f"reg={row.reg} colength={row.colength}")
+        for r in report.results:
+            print(f"   m={r.m}: alpha={r.alpha()} t={r.t_vector()} "
+                  f"reg={r.regularity()} colength={r.colength}")
         if report.areas is not None:
             print("   scaled areas: "
                   + ", ".join(format_rational(a) for a in report.areas))

@@ -16,9 +16,7 @@ from .gin import (
 )
 from .invariants import (
     InvariantReport,
-    InvariantRow,
     custom_report,
-    regularity,
     verify_theorem,
 )
 from .linalg import random_invertible_matrix
@@ -53,7 +51,6 @@ __all__ = [
     "GinCache",
     "GinResult",
     "InvariantReport",
-    "InvariantRow",
     "MonomialIdeal",
     "SchemeFormatError",
     "SeededRng",
@@ -72,7 +69,6 @@ __all__ = [
     "q_area_2d",
     "q_volume_estimate",
     "random_invertible_matrix",
-    "regularity",
     "scaled",
     "shape_of",
     "verify_theorem",

@@ -19,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from importlib import resources
 
 from .errors import SchemeFormatError, StarshapeError
@@ -110,11 +111,11 @@ def _report_csv(report: InvariantReport) -> str:
     n = report.n
     header = "m,alpha," + ",".join(f"t{i}" for i in range(1, n + 1)) + ",reg,colength"
     lines = [header]
-    for row in report.rows:
+    for r in report.results:
         lines.append(
-            f"{row.m},{row.alpha},"
-            + ",".join(str(t) for t in row.t)
-            + f",{row.reg},{row.colength}"
+            f"{r.m},{r.alpha()},"
+            + ",".join(str(t) for t in r.t_vector())
+            + f",{r.regularity()},{r.colength}"
         )
     return "\n".join(lines) + "\n"
 
@@ -124,9 +125,9 @@ def _print_report(report: InvariantReport, out) -> None:
     head = f"{'m':>3} {'alpha':>6} " + " ".join(f"{'t%d' % i:>4}" for i in range(1, n + 1))
     head += f" {'reg':>4} {'colength':>9}"
     print(head, file=out)
-    for row in report.rows:
-        line = f"{row.m:>3} {row.alpha:>6} " + " ".join(f"{t:>4}" for t in row.t)
-        line += f" {row.reg:>4} {row.colength:>9}"
+    for r in report.results:
+        line = f"{r.m:>3} {r.alpha():>6} " + " ".join(f"{t:>4}" for t in r.t_vector())
+        line += f" {r.regularity():>4} {r.colength:>9}"
         print(line, file=out)
     print(
         "waldschmidt upper bound: "
@@ -153,8 +154,7 @@ def _finish(report: InvariantReport, args) -> int:
     if args.csv_path:
         _write(args.csv_path, _report_csv(report))
     if getattr(args, "svg_path", None):
-        last = report.results[-1]
-        _write(args.svg_path, staircase_svg(scaled(shape_of(last), last.m), report.expected))
+        _write(args.svg_path, staircase_svg(report.shapes[-1], report.expected))
     return 0 if report.all_pass() else 1
 
 
@@ -200,10 +200,8 @@ def _cmd_star(args, parser) -> int:
     doc["mode"] = args.mode
     doc["s"] = args.s
     print(
-        f"star(n={args.n}, s={args.s}) m={args.m}: "
-        f"generators {[list(g) for g in res.artinian.generators]}, "
-        f"t={res.t_vector()}, alpha={res.alpha()}, reg={res.regularity()}, "
-        f"colength={res.colength}"
+        f"star(n={args.n}, s={args.s}) m={args.m}: generators {doc['generators']}, "
+        f"t={doc['t']}, alpha={doc['alpha']}, reg={doc['reg']}, colength={doc['colength']}"
     )
     if args.json_path:
         _emit_json(args.json_path, doc)
@@ -272,8 +270,7 @@ def _cmd_invariants(args, parser) -> int:
         parser.error("--m-max must be at least 1")
     star = seeded_star(args.n, args.s, args.mode, args.seed, args.coeff_bound)
     report = custom_report(star.scheme(1), args.m_max, seed=args.seed, cache=_cache_from(args))
-    report.s = args.s
-    return _finish(report, args)
+    return _finish(replace(report, s=args.s), args)
 
 
 def main(argv=None) -> int:

@@ -17,12 +17,11 @@ from fractions import Fraction
 from math import comb
 from typing import Sequence
 
-from .errors import GenericityError
 from .gin import GinCache, GinResult, compute_gin
 from .linalg import format_rational
 from .rng import SeededRng, mix64
 from .scheme import FatPointScheme, StarConfiguration, build_star
-from .shape import AxisSimplex, avoids_interior, q_area_2d, scaled, shape_of
+from .shape import AxisSimplex, Shape, avoids_interior, q_area_2d, scaled, shape_of
 
 
 def seeded_star(
@@ -40,31 +39,14 @@ def gin_seed(seed: int) -> int:
     return SeededRng(seed).derive(2).next_u64()
 
 
-def regularity(res: GinResult) -> int:
-    """Max degree of a minimal generator; for the Borel-fixed initial ideal
-    this is the regularity, and it is realized by the last-axis pure power."""
-    reg = res.regularity()
-    last = res.artinian.pure_power_threshold(res.n)
-    if last != reg:
-        raise GenericityError(
-            f"top generator degree {reg} is not the last-axis pure power {last}"
-        )
-    return reg
-
-
 @dataclass(frozen=True)
-class InvariantRow:
-    m: int
-    alpha: int
-    t: tuple[int, ...]
-    reg: int
-    colength: int
-
-
-@dataclass
 class InvariantReport:
-    """Per-power invariants plus named pass/fail verdicts.
+    """The validated result and scaled shape of each power m = 1, 2, ...,
+    plus named pass/fail verdicts.
 
+    The per-power numbers are read off the results: alpha(), t_vector(),
+    regularity() and colength.  compute_gin returns only Borel-fixed results
+    of finite colength, so alpha is t_1 and the regularity is t_n.
     reg_above_line lists the powers whose last-axis pure power strictly
     exceeds m times the expected last intercept; the equality is observed
     in every computed star case but is only recorded, never asserted.
@@ -72,14 +54,20 @@ class InvariantReport:
 
     n: int
     s: int | None
-    rows: list[InvariantRow]
+    results: list[GinResult] = field(repr=False)
+    shapes: list[Shape] = field(repr=False)
     verdicts: dict[str, bool]
-    waldschmidt_min: Fraction
-    asreg_estimate: Fraction
     areas: list[Fraction] | None = None
     expected: AxisSimplex | None = None
     reg_above_line: list[int] | None = None
-    results: list[GinResult] = field(default_factory=list, repr=False)
+
+    @property
+    def waldschmidt_min(self) -> Fraction:
+        return min(Fraction(r.alpha(), r.m) for r in self.results)
+
+    @property
+    def asreg_estimate(self) -> Fraction:
+        return min(Fraction(r.regularity(), r.m) for r in self.results)
 
     def all_pass(self) -> bool:
         return all(self.verdicts.values())
@@ -91,12 +79,12 @@ class InvariantReport:
             "rows": [
                 {
                     "m": r.m,
-                    "alpha": r.alpha,
-                    "t": list(r.t),
-                    "reg": r.reg,
+                    "alpha": r.alpha(),
+                    "t": r.t_vector(),
+                    "reg": r.regularity(),
                     "colength": r.colength,
                 }
-                for r in self.rows
+                for r in self.results
             ],
             "verdicts": dict(self.verdicts),
             "waldschmidt_min": format_rational(self.waldschmidt_min),
@@ -113,16 +101,6 @@ class InvariantReport:
         return doc
 
 
-def _row_of(res: GinResult) -> InvariantRow:
-    t = tuple(res.t_vector())
-    a = res.alpha()
-    if a != t[0]:
-        raise GenericityError(
-            f"initial degree {a} differs from first-axis pure power {t[0]}"
-        )
-    return InvariantRow(m=res.m, alpha=a, t=t, reg=regularity(res), colength=res.colength)
-
-
 def compute_power_results(
     base: FatPointScheme,
     m_max: int,
@@ -135,36 +113,26 @@ def compute_power_results(
     ]
 
 
-def _report(
-    n: int,
-    s: int | None,
-    results: list[GinResult],
-    simplex: AxisSimplex | None,
-) -> InvariantReport:
-    """The per-power rows, the running minima and the n = 2 areas of the
-    scaled shapes, with V2 (axis bounds) and V3 (interior avoidance)
-    against simplex when one is given."""
-    rows = [_row_of(r) for r in results]
+def _shapes(
+    results: list[GinResult], n: int
+) -> tuple[list[Shape], list[Fraction] | None]:
+    """The scaled shape of each power and, for n = 2, the area of each."""
     shapes = [scaled(shape_of(r), r.m) for r in results]
-    verdicts: dict[str, bool] = {}
-    if simplex is not None:
-        verdicts["V2"] = all(
-            Fraction(row.t[i], row.m) >= a
-            for row in rows
-            for i, a in enumerate(simplex.intercepts)
-        )
-        verdicts["V3"] = all(avoids_interior(sh, simplex) for sh in shapes)
-    return InvariantReport(
-        n=n,
-        s=s,
-        rows=rows,
-        verdicts=verdicts,
-        waldschmidt_min=min(Fraction(r.alpha, r.m) for r in rows),
-        asreg_estimate=min(Fraction(r.reg, r.m) for r in rows),
-        areas=[q_area_2d(sh) for sh in shapes] if n == 2 else None,
-        expected=simplex,
-        results=results,
-    )
+    return shapes, [q_area_2d(sh) for sh in shapes] if n == 2 else None
+
+
+def _bounds(
+    results: list[GinResult], shapes: list[Shape], simplex: AxisSimplex
+) -> dict[str, bool]:
+    """V2 (axis bounds) and V3 (interior avoidance) against simplex."""
+    return {
+        "V2": all(
+            Fraction(t, r.m) >= a
+            for r in results
+            for t, a in zip(r.t_vector(), simplex.intercepts)
+        ),
+        "V3": all(avoids_interior(sh, simplex) for sh in shapes),
+    }
 
 
 def verify_theorem(
@@ -197,19 +165,19 @@ def verify_theorem(
     star = seeded_star(n, s, mode, seed, bound)
     results = compute_power_results(star.scheme(1), m_max, seed, cache)
     simplex = AxisSimplex.star(n, s)
-    report = _report(n, s, results, simplex)
-    rows = report.rows
-    report.verdicts = {
-        "V1": all(rows[n - i].t[i - 1] == s - i + 1 for i in range(1, n + 1)),
-        **report.verdicts,
-        "V4": all(row.colength == comb(s, n) * comb(n + row.m - 1, n) for row in rows),
+    shapes, areas = _shapes(results, n)
+    verdicts = {
+        "V1": all(
+            results[n - i].t_vector()[i - 1] == s - i + 1 for i in range(1, n + 1)
+        ),
+        **_bounds(results, shapes, simplex),
+        "V4": all(r.colength == comb(s, n) * comb(n + r.m - 1, n) for r in results),
     }
     if n == 2:
-        report.verdicts["V5"] = all(a >= simplex.volume for a in report.areas)
-    report.reg_above_line = [
-        row.m for row in rows if Fraction(row.t[-1], row.m) > simplex.intercepts[-1]
-    ]
-    return report
+        verdicts["V5"] = all(a >= simplex.volume for a in areas)
+    above = [r.m for r in results if Fraction(r.t_vector()[-1], r.m) > simplex.intercepts[-1]]
+    return InvariantReport(n=n, s=s, results=results, shapes=shapes, verdicts=verdicts,
+                           areas=areas, expected=simplex, reg_above_line=above)
 
 
 def custom_report(
@@ -237,11 +205,16 @@ def custom_report(
         if simplex.n != base.dim:
             raise ValueError("expected vertex list has the wrong length")
     results = compute_power_results(base, m_max, seed, cache)
-    report = _report(base.dim, None, results, simplex)
+    shapes, areas = _shapes(results, base.dim)
+    verdicts = {}
     if simplex is not None:
-        report.verdicts["VLIM"] = all(
-            Fraction(row.t[i], row.m) <= a + Fraction(2, row.m)
-            for row in report.rows
-            for i, a in enumerate(simplex.intercepts)
-        )
-    return report
+        verdicts = {
+            **_bounds(results, shapes, simplex),
+            "VLIM": all(
+                Fraction(t, r.m) <= a + Fraction(2, r.m)
+                for r in results
+                for t, a in zip(r.t_vector(), simplex.intercepts)
+            ),
+        }
+    return InvariantReport(n=base.dim, s=None, results=results, shapes=shapes,
+                           verdicts=verdicts, areas=areas, expected=simplex)

@@ -133,6 +133,63 @@ def test_custom_without_expectations_reports_only(tmp_path):
     assert [row["alpha"] for row in doc["rows"]] == [2, 4]
 
 
+def report_rows(*rows):
+    """Report JSON rows from (m, alpha, t, reg, colength) tuples."""
+    return [{"m": m, "alpha": a, "t": list(t), "reg": r, "colength": c}
+            for m, a, t, r, c in rows]
+
+
+# Whole report documents that no benchmark golden covers: the invariants
+# command carries its star's s and no verdicts, verify adds expected
+# vertices, reg_above_line and V1-V5, and custom with expected vertices has
+# V2, V3 and VLIM but no reg_above_line.
+PINNED_REPORTS = [
+    (
+        ("invariants", "--n", "2", "--s", "3", "--m-max", "3"),
+        {
+            "n": 2, "s": 3,
+            "rows": report_rows((1, 2, (2, 2), 2, 3), (2, 3, (3, 4), 4, 9),
+                                (3, 5, (5, 6), 6, 18)),
+            "verdicts": {},
+            "waldschmidt_min": "3/2", "asreg_estimate": "2",
+            "areas": ["2", "3/2", "14/9"],
+        },
+    ),
+    (
+        ("verify", "--n", "2", "--s", "4", "--m-max", "4"),
+        {
+            "n": 2, "s": 4,
+            "rows": report_rows((1, 3, (3, 3), 3, 6), (2, 4, (4, 6), 6, 18),
+                                (3, 7, (7, 9), 9, 36), (4, 8, (8, 12), 12, 60)),
+            "verdicts": {k: True for k in ("V1", "V2", "V3", "V4", "V5")},
+            "waldschmidt_min": "2", "asreg_estimate": "3",
+            "areas": ["9/2", "3", "19/6", "3"],
+            "expected_vertices": ["2", "3"],
+            "reg_above_line": [],
+        },
+    ),
+    (
+        ("custom", "--points", "conic", "--m-max", "2", "--expect-vertices", "2,3"),
+        {
+            "n": 2, "s": None,
+            "rows": report_rows((1, 2, (2, 4), 4, 6), (2, 4, (4, 7), 7, 18)),
+            "verdicts": {"V2": True, "V3": True, "VLIM": True},
+            "waldschmidt_min": "2", "asreg_estimate": "7/2",
+            "areas": ["4", "27/8"],
+            "expected_vertices": ["2", "3"],
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, want", PINNED_REPORTS,
+                         ids=[argv[0] for argv, _ in PINNED_REPORTS])
+def test_report_documents_are_pinned(tmp_path, argv, want):
+    out = tmp_path / "report.json"
+    assert run(*argv, "--json", str(out), "--cache", str(tmp_path / "cache")) == 0
+    assert json.loads(out.read_text()) == want
+
+
 def test_custom_bad_files(tmp_path):
     missing = tmp_path / "nope.json"
     assert run("custom", "--points", str(missing), "--m-max", "1") == 2

@@ -1,9 +1,10 @@
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
 
 from oracles import alpha
-from starshape.invariants import custom_report, regularity, verify_theorem
+from starshape.invariants import custom_report, verify_theorem
 from starshape.scheme import build_star
 
 
@@ -25,7 +26,7 @@ def test_alpha_matches_first_axis_pure_power(star_gin):
 
 
 def alpha_ratios(report):
-    return [F(r.alpha, r.m) for r in report.rows]
+    return [F(r.alpha(), r.m) for r in report.results]
 
 
 def test_waldschmidt_estimate_star23(gin_cache):
@@ -52,22 +53,22 @@ def test_waldschmidt_conic_is_two(gin_cache, conic_scheme):
 
 
 def test_regularity_examples(star_gin, conic_gin):
-    assert regularity(star_gin(2, 3, 1)) == 2
-    assert regularity(star_gin(2, 3, 2)) == 4
+    assert star_gin(2, 3, 1).regularity() == 2
+    assert star_gin(2, 3, 2).regularity() == 4
     # The bundled conic scheme: quotient Hilbert function 1,3,5,6 forces the
     # artinian slices 1,2,2,1, so x2^4 is a minimal generator and the top
     # generator degree is 4.
-    assert regularity(conic_gin(1)) == 4
+    assert conic_gin(1).regularity() == 4
 
 
 def test_asreg_estimate_values(star_gin, gin_cache, conic_scheme):
     def reg_ratios(report):
-        return [F(r.reg, r.m) for r in report.rows]
+        return [F(r.regularity(), r.m) for r in report.results]
 
     star = custom_report(build_star(2, 3).scheme(1), 3, cache=gin_cache)
     assert reg_ratios(star) == [F(2), F(2), F(2)]
     assert star.asreg_estimate == 2  # s - n + 1
-    assert regularity(star_gin(3, 4, 1)) == 2  # x3^2 generator
+    assert star_gin(3, 4, 1).regularity() == 2  # x3^2 generator
     conic = custom_report(conic_scheme, 3, cache=gin_cache)
     assert reg_ratios(conic) == [F(4), F(7, 2), F(10, 3)]
     assert conic.asreg_estimate == F(10, 3)  # decreasing toward 3
@@ -83,9 +84,9 @@ def test_alpha_subadditive(star_gin):
 def test_verify_theorem_star23(gin_cache):
     report = verify_theorem(2, 3, 2, cache=gin_cache)
     assert report.all_pass()
-    assert [r.t for r in report.rows] == [(2, 2), (3, 4)]
-    assert report.rows[1].t[0] == 3  # t1(2) = s
-    assert report.rows[0].t[1] == 2  # t2(1) = s - 1
+    assert [r.t_vector() for r in report.results] == [[2, 2], [3, 4]]
+    assert report.results[1].t_vector()[0] == 3  # t1(2) = s
+    assert report.results[0].t_vector()[1] == 2  # t2(1) = s - 1
     assert report.waldschmidt_min == F(3, 2)
     assert report.asreg_estimate == 2
 
@@ -93,24 +94,24 @@ def test_verify_theorem_star23(gin_cache):
 def test_verify_theorem_star24(gin_cache):
     report = verify_theorem(2, 4, 2, cache=gin_cache)
     assert report.all_pass()
-    assert report.rows[1].t[0] == 4
-    assert report.rows[0].t[1] == 3
-    assert [r.colength for r in report.rows] == [6, 18]
+    assert report.results[1].t_vector()[0] == 4
+    assert report.results[0].t_vector()[1] == 3
+    assert [r.colength for r in report.results] == [6, 18]
 
 
 def test_verify_theorem_star34(gin_cache):
     report = verify_theorem(3, 4, 3, cache=gin_cache)
     assert report.all_pass()
-    ts = [r.t for r in report.rows]
+    ts = [r.t_vector() for r in report.results]
     assert ts[2][0] == 4 and ts[1][1] == 3 and ts[0][2] == 2
     assert "V5" not in report.verdicts  # area check is n=2 only
 
 
 def test_verify_theorem_rows_internal_identities(gin_cache):
     report = verify_theorem(2, 4, 3, cache=gin_cache)
-    for row in report.rows:
-        assert row.alpha == row.t[0]
-        assert row.reg == row.t[-1]
+    for r in report.results:
+        assert r.alpha() == r.t_vector()[0]
+        assert r.regularity() == r.t_vector()[-1]
 
 
 def test_verify_theorem_rejects_bad_arguments():
@@ -123,11 +124,11 @@ def test_verify_theorem_rejects_bad_arguments():
 def test_custom_report_conic(gin_cache, conic_scheme):
     plain = custom_report(conic_scheme, 3, cache=gin_cache)
     assert plain.verdicts == {}
-    assert [r.alpha for r in plain.rows] == [2, 4, 6]
-    assert [r.t[1] for r in plain.rows] == [4, 7, 10]
-    for row in plain.rows:
-        assert F(row.t[1], row.m) >= 3
-        assert F(row.t[1], row.m) <= 3 + F(2, row.m)
+    assert [r.alpha() for r in plain.results] == [2, 4, 6]
+    assert [r.t_vector()[1] for r in plain.results] == [4, 7, 10]
+    for r in plain.results:
+        assert F(r.t_vector()[1], r.m) >= 3
+        assert F(r.t_vector()[1], r.m) <= 3 + F(2, r.m)
 
     good = custom_report(
         conic_scheme, 3, expect_intercepts=[F(2), F(3)], cache=gin_cache
@@ -139,6 +140,12 @@ def test_custom_report_conic(gin_cache, conic_scheme):
     )
     assert bad.verdicts["V2"] and bad.verdicts["V3"]
     assert not bad.verdicts["VLIM"]  # detects the undershooting shape
+
+
+def test_report_is_frozen(gin_cache):
+    report = custom_report(build_star(2, 3).scheme(1), 1, cache=gin_cache)
+    with pytest.raises(FrozenInstanceError):
+        report.s = 3
 
 
 def test_custom_report_requires_reduced_base(conic_scheme):
@@ -170,8 +177,8 @@ def test_star_reports_record_last_axis_equality(gin_cache):
     for n, s, m_max in [(2, 3, 4), (2, 4, 3), (3, 4, 3)]:
         report = verify_theorem(n, s, m_max, cache=gin_cache)
         assert report.reg_above_line == []
-        for row in report.rows:
-            assert row.t[-1] == row.m * (s - n + 1)
+        for r in report.results:
+            assert r.t_vector()[-1] == r.m * (s - n + 1)
         assert "reg_above_line" in report.to_json_dict()
 
 
@@ -180,6 +187,6 @@ def test_dimension_four_star_single_power(gin_cache):
     # variables completely, forcing the generators.
     report = verify_theorem(4, 5, 4, cache=gin_cache)
     assert report.all_pass()
-    assert report.rows[0].t == (2, 2, 2, 2)
-    assert report.rows[0].colength == 5
+    assert report.results[0].t_vector() == [2, 2, 2, 2]
+    assert report.results[0].colength == 5
     assert report.waldschmidt_min == Fraction(5, 4)

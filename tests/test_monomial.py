@@ -148,3 +148,50 @@ def test_minimal_generators_all_members_and_incomparable(gens):
         for b in j.generators:
             if a != b:
                 assert not all(x <= y for x, y in zip(a, b))
+
+
+def borel_closure(monomials):
+    """Every monomial reached by moving exponents to earlier variables."""
+    closed, todo = set(), list(monomials)
+    while todo:
+        u = todo.pop()
+        if u in closed:
+            continue
+        closed.add(u)
+        for j, e in enumerate(u):
+            for i in range(j if e else 0):
+                todo.append(u[:i] + (u[i] + 1,) + u[i + 1 : j] + (e - 1,) + u[j + 1 :])
+    return closed
+
+
+@st.composite
+def borel_artinian_ideals(draw):
+    """The ideal of the Borel closure of a few monomials plus a pure power of
+    the last variable, in 2-4 variables."""
+    nv = draw(st.integers(2, 4))
+    mons = draw(st.lists(st.tuples(*[st.integers(0, 3)] * nv), max_size=3))
+    top = draw(st.integers(1, 5))
+    last = (0,) * (nv - 1) + (top,)
+    return MonomialIdeal(nv, borel_closure([m for m in mons if any(m)] + [last]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(borel_artinian_ideals())
+def test_borel_fixed_generator_degrees_are_first_and_last_pure_powers(j):
+    # InvariantReport reads alpha as t_1 and the regularity as t_n of every
+    # result; compute_gin only returns Borel-fixed results of finite
+    # colength, and for those both equalities hold.
+    assert j.is_borel_fixed()
+    degrees = [sum(g) for g in j.generators]
+    assert min(degrees) == j.pure_power_threshold(1)
+    assert max(degrees) == j.pure_power_threshold(j.num_vars)
+
+
+def test_generator_degrees_need_borel_fixedness():
+    # (x^3, xy, y^2): alpha = 2 but t_1 = 3, and the top degree 3 is not t_2.
+    j = MonomialIdeal(2, [(3, 0), (1, 1), (0, 2)])
+    assert not j.is_borel_fixed()
+    assert min(sum(g) for g in j.generators) == 2
+    assert j.pure_power_threshold(1) == 3
+    assert max(sum(g) for g in j.generators) == 3
+    assert j.pure_power_threshold(2) == 2

@@ -39,3 +39,9 @@ def test_every_definition_is_used_or_exported():
               for ident, line in definitions(tree)
               if ident not in used and ident not in starshape.__all__]
     assert unused == []
+
+
+def test_every_export_resolves_once():
+    names = starshape.__all__
+    assert len(names) == len(set(names))
+    assert [name for name in names if not hasattr(starshape, name)] == []
