@@ -246,7 +246,7 @@ def _cmd_custom(args, parser) -> int:
         parser.error("the points file must have multiplicity 1 (--m-max sets the powers)")
     _check_svg(args, base.dim, parser)
     expect = None
-    if args.expect_vertices:
+    if args.expect_vertices is not None:
         try:
             expect = [parse_rational(v) for v in args.expect_vertices.split(",")]
         except (ValueError, ZeroDivisionError) as exc:

@@ -53,6 +53,7 @@ import tempfile
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
+from operator import mul
 
 from .errors import GenericityError
 from .linalg import (
@@ -68,7 +69,7 @@ from .monomial import (
     monomials_of_degree,
 )
 from .rng import SeededRng
-from .scheme import FatPointScheme, _condition_rows, transform_scheme
+from .scheme import FatPointScheme, _condition_rows
 
 CACHE_VERSION = 1
 GIN_SCHEMA = "starshape.gin/1"
@@ -191,8 +192,11 @@ def _run_pair(
     """
     n, m = sch.dim, sch.multiplicity
     k = n + 1
-    z1 = transform_scheme(sch, g1).int_points
-    z2 = transform_scheme(sch, g2).int_points
+    # Each point p moves to g p.  Scaling a row of g or a point is the
+    # torus action, and a scale below p is a unit mod p, so neither needs
+    # normalising: no profile and no ideal would change.
+    z1 = [[sum(map(mul, row, p)) for row in g1] for p in sch.int_points]
+    z2 = [[sum(map(mul, row, p)) for row in g2] for p in sch.int_points]
     length = sch.fat_point_degree()
     cap = m * (len(sch.points) + n) + k + 2
     d = m - 1
@@ -200,7 +204,7 @@ def _run_pair(
         d += 1
     while True:
         mons = monomials_of_degree(k, d)
-        free = free_columns_mod_p(_condition_rows(z1, k, m, mons, d), len(mons))
+        free = free_columns_mod_p(_condition_rows(z1, m, mons), len(mons))
         if len(mons) - len(free) == length:
             break
         d += 1
@@ -208,7 +212,7 @@ def _run_pair(
             raise GenericityError(
                 f"Hilbert function failed to stabilize by degree {cap}"
             )
-    if free_columns_mod_p(_condition_rows(z2, k, m, mons, d), len(mons)) != free:
+    if free_columns_mod_p(_condition_rows(z2, m, mons), len(mons)) != free:
         raise GenericityError(f"coordinate changes disagree in degree {d}")
     candidate = MonomialIdeal(
         k,
@@ -220,7 +224,7 @@ def _run_pair(
         lower = [g for g in gens if sum(g) < e]
         sub = [u for u in monomials_of_degree(k, e)
                if not any(divides(g, u) for g in lower)]
-        proved = certified_free_columns(_condition_rows(z1, k, m, sub, e), len(sub))
+        proved = certified_free_columns(_condition_rows(z1, m, sub), len(sub))
         if proved is None or [sub[j] for j in proved] != [g for g in gens if sum(g) == e]:
             raise GenericityError(f"degree-{e} generators fail the proof over Q")
     return GinResult(n, m, candidate, seeds)

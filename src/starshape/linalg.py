@@ -165,10 +165,10 @@ def free_columns_mod_p(rows: Sequence[Sequence[int]], ncols: int) -> list[int]:
     return pivot_profile_mod_p(rows, ncols)[0]
 
 
-def _inverse_columns_mod_p(mat: list[list[int]]) -> list[int] | None:
+def _inverse_columns_mod_p(mat: list[list[int]]) -> list[int]:
     """The columns of mat**-1 mod MODULUS, each packed with
     _slot_bytes(len(mat)) bytes per slot (one 64-bit word up to 2,047
-    rows), slots reduced below p; None if mat is singular mod p.
+    rows), slots reduced below p.  mat must be invertible mod p.
 
     Gauss-Jordan on the rows of [mat^T | I], whose right half ends as the
     transpose of mat**-1.  Slots are reduced only in the pivot row, as in
@@ -186,9 +186,7 @@ def _inverse_columns_mod_p(mat: list[list[int]]) -> list[int] | None:
     ]
     for c in range(r):
         lead = [(x & mask) % p for x in work]
-        k = next((i for i in range(c, r) if lead[i]), None)
-        if k is None:
-            return None
+        k = next(i for i in range(c, r) if lead[i])
         work[c], work[k] = work[k], work[c]
         lead[c], lead[k] = lead[k], lead[c]
         inv = pow(lead[c], -1, p)
@@ -391,8 +389,6 @@ def certified_free_columns(
     if not cols and not spare:
         return free
     inverse = _inverse_columns_mod_p([[rows[i][c] for c in pivots] for i in pivot_rows])
-    if inverse is None:
-        return None
     # Kernel vectors tend to grow as the column index falls, left-kernel
     # vectors with the row index: both lists go widest first.
     if cols and _kernel_certificates(

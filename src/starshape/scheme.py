@@ -88,23 +88,22 @@ class FatPointScheme:
 
 
 def _condition_rows(
-    points,
-    num_vars: int,
-    multiplicity: int,
-    mons: Sequence[Exponents],
-    max_degree: int,
+    points, multiplicity: int, mons: Sequence[Exponents]
 ) -> list[list[int]]:
     """Rows of derivative-evaluation conditions (exact, any numeric type).
 
     One row per (point, multi-index beta with |beta| = m-1); the entry at a
     degree-d monomial x^alpha is (d^beta x^alpha)(p), i.e. the falling
-    factorial prod alpha_i!/(alpha_i-beta_i)! times p^(alpha-beta).
+    factorial prod alpha_i!/(alpha_i-beta_i)! times p^(alpha-beta).  The
+    variable count is the points' length, d the monomials' degree.
 
     The product runs over the variables, so each point gets one factor
     table per coordinate c_i, f_i[b][a] = a!/(a-b)! * c_i^(a-b) (0 when
     b > a), read off at the monomials' i-th exponents; a beta-row is the
     elementwise product of the table rows f_i[beta_i].
     """
+    num_vars = len(points[0])
+    max_degree = max(map(sum, mons), default=0)
     betas = monomials_of_degree(num_vars, multiplicity - 1)
     exponents = [[alpha[i] for alpha in mons] for i in range(num_vars)]
     rows = []
@@ -123,25 +122,6 @@ def _condition_rows(
                 row = list(map(mul, row, f[b]))
             rows.append(row)
     return rows
-
-
-def transform_scheme(sch: FatPointScheme, g: Sequence[Sequence[int]]) -> FatPointScheme:
-    """Apply the coordinate change x -> g x, given by the integer rows of g,
-    to every point.
-
-    A form f vanishes to order m at p exactly when f after the inverse
-    substitution vanishes to order m at g p, so the transformed scheme's
-    symbolic power realizes the original one in new coordinates.
-    """
-    k = sch.dim + 1
-    if len(g) != k or any(len(row) != k for row in g):
-        raise ValueError("coordinate change has the wrong shape")
-    g_rows = [clear_denominators(row) for row in g]
-    new_points = []
-    for p in sch.int_points:
-        q = [sum(a * c for a, c in zip(row, p)) for row in g_rows]
-        new_points.append(tuple(Fraction(x) for x in q))
-    return FatPointScheme(sch.dim, tuple(new_points), sch.multiplicity)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ monomial multiples); Q is the closure of the complement of P inside the
 orthant, bounded exactly when every axis carries a pure power.  Membership
 in P is decided by P's exact facet inequalities (Shape.facets, computed
 once per shape by double description in integers).  For n = 2 the area of
-Q is exact (lower-left convex chain + shoelace); for n >= 3 a seeded
+Q is exact (triangles from the origin over P's facets); for n >= 3 a seeded
 Monte-Carlo estimate is provided for reporting only.
 
 AxisSimplex is the simplex spanned by the origin and one point per axis;
@@ -182,37 +182,28 @@ def contains(sh: Shape, q: Sequence[Fraction]) -> bool:
     )
 
 
-def _lower_hull(points: Sequence[tuple[Fraction, Fraction]]):
-    """Convex chain facing the origin (Andrew monotone chain, lower part)."""
-    pts = sorted(points)
-    hull: list[tuple[Fraction, Fraction]] = []
-    for p in pts:
-        while len(hull) >= 2:
-            ox, oy = hull[-2]
-            ax, ay = hull[-1]
-            if (ax - ox) * (p[1] - oy) - (ay - oy) * (p[0] - ox) <= 0:
-                hull.pop()
-            else:
-                break
-        hull.append(p)
-    return hull
+def _facet_ends(sh: Shape) -> list[tuple[Facet, Point, Point]]:
+    """Each facet of P with its end points, the generators tight on it of
+    least and greatest x, for n = 2.  With both pure powers present these
+    facets are the edges of the convex chain from (0, t2) to (t1, 0)."""
+    ends = []
+    for a, b in sh.facets:
+        tight = [p for p in sh.points if a[0] * p[0] + a[1] * p[1] == b]
+        ends.append(((a, b), min(tight), max(tight)))
+    return ends
 
 
 def q_area_2d(sh: Shape) -> Fraction:
-    """Exact area of Q for n = 2: shoelace over the polygon closed through
-    the origin along the lower-left convex chain from (0, t2) to (t1, 0)."""
+    """Exact area of Q for n = 2: the triangles from the origin over P's
+    facets.  A facet a.x = b from x = u to x = v spans b (v - u) / (2 a_2)."""
     if sh.num_vars != 2:
         raise ValueError("exact area is only defined for two variables")
-    t1 = axis_intercept(sh, 1)
-    t2 = axis_intercept(sh, 2)
-    if t1 is None or t2 is None:
+    if axis_intercept(sh, 1) is None or axis_intercept(sh, 2) is None:
         raise UnboundedRegionError("missing pure power: Q is unbounded")
-    hull = _lower_hull([(p[0], p[1]) for p in sh.points])
-    poly = [(Fraction(0), Fraction(0))] + hull
-    total = Fraction(0)
-    for (x1, y1), (x2, y2) in zip(poly, poly[1:] + poly[:1]):
-        total += x1 * y2 - x2 * y1
-    return abs(total) / 2
+    return sum(
+        (b * (hi[0] - lo[0]) / (2 * a[1]) for (a, b), lo, hi in _facet_ends(sh)),
+        Fraction(0),
+    )
 
 
 def q_volume_estimate(
@@ -337,7 +328,7 @@ def staircase_svg(sh: Shape, simplex: AxisSimplex | None = None) -> str:
         f'<polyline points="{path}" fill="none" stroke="#888888" stroke-width="1.5"/>'
     )
     if t1 is not None and t2 is not None:
-        hull = _lower_hull([(p[0], p[1]) for p in sh.points])
+        hull = sorted({p for _, lo, hi in _facet_ends(sh) for p in (lo, hi)})
         hp = " ".join(f"{sx(float(x)):.1f},{sy(float(y)):.1f}" for x, y in hull)
         lines.append(
             f'<polyline points="{hp}" fill="none" stroke="#1f77b4" stroke-width="2"/>'

@@ -22,7 +22,7 @@ from starshape.gin import GIN_BOUND
 from starshape.linalg import random_invertible_matrix
 from starshape.monomial import dimension_of_degree, monomials_of_degree
 from starshape.rng import SeededRng
-from starshape.scheme import transform_scheme
+from starshape.scheme import FatPointScheme
 
 
 def revlex_cmp(u, v):
@@ -181,6 +181,15 @@ def naive_condition_rows(points, num_vars, multiplicity, mons, max_degree):
                 row.append(entry)
             rows.append(row)
     return rows
+
+
+def transform_scheme(sch, g):
+    """The scheme moved by the coordinate change x -> g x, g's integer
+    rows as given: a form f vanishes to order m at p exactly when f after
+    the inverse substitution vanishes to order m at g p, so the moved
+    scheme's symbolic power realizes the original one in new coordinates."""
+    moved = [[sum(a * c for a, c in zip(row, p)) for row in g] for p in sch.int_points]
+    return FatPointScheme(sch.dim, tuple(tuple(map(Fraction, q)) for q in moved), sch.multiplicity)
 
 
 def conditions_matrix(sch, d):

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -190,6 +191,39 @@ def test_report_documents_are_pinned(tmp_path, argv, want):
     assert json.loads(out.read_text()) == want
 
 
+CLI_GOLDENS = Path(__file__).resolve().parents[1] / "perfbench" / "goldens" / "cli.json"
+
+# The benchmark's warm-cli calls (perfbench/run.py) and the files each writes.
+WARM_CLI_CALLS = {
+    "verify-2-4": (("verify", "--n", "2", "--s", "4", "--m-max", "5"), ()),
+    "verify-3-5": (("verify", "--n", "3", "--s", "5", "--m-max", "3"), ("json",)),
+    "custom-conic": (("custom", "--points", "conic", "--m-max", "4",
+                      "--expect-vertices", "2,3"), ("svg",)),
+    "invariants-2-3": (("invariants", "--n", "2", "--s", "3", "--m-max", "5"), ("csv",)),
+    "star-2-4-5": (("star", "--n", "2", "--s", "4", "--m", "5"), ("json", "csv", "svg")),
+}
+
+
+@pytest.mark.parametrize("name", WARM_CLI_CALLS)
+def test_warm_cli_calls_match_the_benchmark_goldens(tmp_path, capsys, name):
+    # Cold, then served from the cache it filled: exit code, stdout and
+    # every file as the benchmark compares them, JSON without seeds_used.
+    want = json.loads(CLI_GOLDENS.read_text(encoding="utf-8"))[name]
+    argv, outputs = WARM_CLI_CALLS[name]
+    files = [arg for kind in outputs for arg in (f"--{kind}", str(tmp_path / kind))]
+    for _ in ("cold", "warm"):
+        assert run(*argv, *files, "--cache", str(tmp_path / "cache")) == want["exit"]
+        assert capsys.readouterr().out == want["stdout"]
+        for kind in outputs:
+            text = (tmp_path / kind).read_bytes().decode("utf-8")
+            if kind == "json":
+                doc = json.loads(text)
+                assert json.dumps(doc, indent=2, sort_keys=True) + "\n" == text
+                doc.pop("seeds_used", None)  # report documents carry none
+                text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+            assert text == want[kind], kind
+
+
 def test_custom_bad_files(tmp_path):
     missing = tmp_path / "nope.json"
     assert run("custom", "--points", str(missing), "--m-max", "1") == 2
@@ -274,6 +308,16 @@ def test_flags_rejected_before_any_output(tmp_path, monkeypatch):
          "--coeff-bound", "1000", "--json", str(out)],
         ["invariants", "--n", "2", "--s", "3", "--m-max", "1", "--coeff-bound", "50",
          "--json", str(out)],
+        ["star", "--n", "2", "--s", "3", "--m", "0", "--json", str(out)],
+        ["custom", "--points", "conic", "--m-max", "0", "--json", str(out)],
+        ["invariants", "--n", "2", "--s", "3", "--m-max", "0", "--json", str(out)],
+        ["custom", "--points", "conic", "--m-max", "1", "--json", str(out),
+         "--expect-vertices", "2,x"],
+        ["custom", "--points", "conic", "--m-max", "1", "--json", str(out),
+         "--expect-vertices", "1/0,3"],
+        # An empty list is malformed, not a missing one.
+        ["custom", "--points", "conic", "--m-max", "1", "--json", str(out),
+         "--expect-vertices", ""],
     ):
         assert run(*argv, "--cache", str(cache)) == 2
         assert not out.exists() and not svg.exists() and not cache.exists()

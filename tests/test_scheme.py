@@ -13,6 +13,7 @@ from oracles import (
     naive_condition_rows,
     naive_rank_and_kernel,
     symbolic_basis,
+    transform_scheme,
 )
 from starshape.errors import SchemeFormatError
 from starshape.linalg import random_invertible_matrix
@@ -25,7 +26,6 @@ from starshape.scheme import (
     build_star,
     load_points,
     normalize_point,
-    transform_scheme,
 )
 
 
@@ -142,7 +142,8 @@ def condition_row_inputs(draw):
 @settings(max_examples=150, deadline=None)
 @given(condition_row_inputs())
 def test_condition_rows_match_the_entrywise_formula(args):
-    assert _condition_rows(*args) == naive_condition_rows(*args)
+    points, _, m, mons, _ = args
+    assert _condition_rows(points, m, mons) == naive_condition_rows(*args)
 
 
 @st.composite
@@ -333,3 +334,16 @@ def test_load_points_conic_and_errors(tmp_path):
     )
     sch = load_points(fractional)
     assert sch.points[0] == (Fraction(1, 2), Fraction(1))
+
+    for name, doc, message in (
+        ("list", [["1", "1", "1"]], "top level must be an object"),
+        ("no-points", {"dim": 2}, "missing key 'points'"),
+        ("points-dict", {"dim": 2, "points": {"0": ["1", "1", "1"]}}, "points must be a list"),
+        ("point-str", {"dim": 2, "points": ["1 1 1"]}, "point 0 must be a list"),
+        ("coord-x", {"dim": 2, "points": [["1", "x", "1"]]}, "point 0, coordinate 1"),
+        ("dim-0", {"dim": 0, "points": [["1"]]}, "ambient dimension must be at least 1"),
+    ):
+        bad = tmp_path / f"{name}.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(SchemeFormatError, match=message):
+            load_points(bad)
