@@ -249,7 +249,7 @@ def _cmd_custom(args, parser) -> int:
     if args.expect_vertices is not None:
         try:
             expect = [parse_rational(v) for v in args.expect_vertices.split(",")]
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             parser.error(f"bad --expect-vertices: {exc}")
         if len(expect) != base.dim:
             parser.error(f"--expect-vertices needs {base.dim} values, one per axis")

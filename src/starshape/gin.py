@@ -36,12 +36,11 @@ change's.  Both changes have integer entries in [-GIN_BOUND, GIN_BOUND],
 whatever the coefficients of the input.
 
 A result is its minimal generators; the Hilbert table, stop degree and
-colength are derived from them.  One rule serves a cache hit: it answers
-the request (n, m, and seeds_used one of the pairs the seed draws),
-passes the same _validate as a fresh result, and a file is byte for byte
-the document its generators define.  Anything else is a miss, recomputed
-and rewritten.  A file whose generators include one of degree above the
-scheme's length is a miss before anything is derived from it.
+colength are derived from them.  A cache stores document bytes, and
+_served alone decides whether they serve a request.  It refuses more
+generators than an answer has, or one of degree above the scheme's length,
+before deriving anything.  A refused or unreadable entry is a miss,
+recomputed and rewritten; a write that fails is an error naming the entry.
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ from functools import cached_property
 from itertools import accumulate
 from operator import mul
 
-from .errors import GenericityError
+from .errors import GenericityError, StarshapeError
 from .linalg import (
     certified_free_columns,
     format_rational,
@@ -249,17 +248,37 @@ def _seed_pairs(seed: int) -> list[tuple[int, int]]:
     return [(master.next_u64(), master.next_u64()) for _ in range(GIN_DRAWS)]
 
 
-def _serves(hit: GinResult, sch: FatPointScheme, pairs: list) -> bool:
-    """Whether a cached result answers the request: its n and m, one of the
-    seed pairs the request draws, and the same _validate as a fresh
-    result."""
-    if (hit.n, hit.m) != (sch.dim, sch.multiplicity) or hit.seeds_used not in pairs:
-        return False
+def _document(res: GinResult) -> bytes:
+    """The bytes a cache stores for a result: its canonical document."""
+    return json.dumps(result_to_json(res), sort_keys=True).encode("utf-8")
+
+
+def _served(data: bytes, sch: FatPointScheme, pairs: list) -> GinResult | None:
+    """The result a cache entry's bytes define if it serves the request,
+    else None (a miss).  Cheapest first: the bytes decode; the generators
+    are few and low enough for an answer; the result answers the request
+    (n, m, and seeds_used one of its pairs); the bytes are its canonical
+    document; and it passes the same _validate as a fresh result."""
+    length = sch.fat_point_degree()
     try:
-        _validate(hit, sch)
-    except GenericityError:
-        return False
-    return True
+        doc = json.loads(data)
+        gens = doc["generators_full"]
+        # An answer is artinian of colength L in n variables.  Each minimal
+        # generator is x_i times a standard monomial, i its last variable,
+        # so there are at most n * L of them, of degree at most L.  Others
+        # are refused before minimalizing or deriving anything.
+        if len(gens) > sch.dim * length or any(sum(map(int, g)) > length for g in gens):
+            return None
+        res = result_from_json(doc)
+        if ((res.n, res.m) != (sch.dim, sch.multiplicity) or res.seeds_used not in pairs
+                or _document(res) != data):
+            return None
+        _validate(res, sch)
+    except Exception:
+        # Outside input: whatever fails to decode, derive or validate is a
+        # miss, so the caller recomputes and put() overwrites the entry.
+        return None
+    return res
 
 
 def compute_gin(
@@ -274,14 +293,14 @@ def compute_gin(
     pivot profile mod p in the degree D where the search stops, whose free
     columns must be the first change's (_run_pair).  Redraws on a witness
     mismatch, a failed certificate or any structural-invariant failure, up
-    to GIN_DRAWS pairs.  Deterministic given (scheme, seed).  A cache hit
-    that does not answer the request is recomputed and overwritten.
+    to GIN_DRAWS pairs.  Deterministic given (scheme, seed).  A cache entry
+    that _served refuses is recomputed and overwritten.
     """
     key = cache_key(sch, seed)
     pairs = _seed_pairs(seed)
-    if cache is not None:
-        hit = cache.get(key, sch.fat_point_degree())
-        if hit is not None and _serves(hit, sch, pairs):
+    if cache is not None and (data := cache.get(key)) is not None:
+        hit = _served(data, sch, pairs)
+        if hit is not None:
             return hit
     k = sch.dim + 1
     failures: list[str] = []
@@ -295,7 +314,7 @@ def compute_gin(
             failures.append(str(exc))
             continue
         if cache is not None:
-            cache.put(key, res)
+            cache.put(key, _document(res))
         return res
     raise GenericityError(
         "no generic coordinate change found after "
@@ -360,67 +379,46 @@ def cache_key(sch: FatPointScheme, seed: int) -> str:
 
 
 class GinCache:
-    """In-memory result cache keyed by content hash."""
+    """In-memory store of document bytes by key; compute_gin decides hits."""
 
     def __init__(self) -> None:
-        self._store: dict[str, GinResult] = {}
+        self._store: dict[str, bytes] = {}
 
-    def get(self, key: str, length: int) -> GinResult | None:
-        """The result stored under key; length, the request's scheme
-        length, bounds what a file cache will read."""
+    def get(self, key: str) -> bytes | None:
         return self._store.get(key)
 
-    def put(self, key: str, res: GinResult) -> None:
-        self._store[key] = res
+    def put(self, key: str, data: bytes) -> None:
+        self._store[key] = data
 
 
 class FileGinCache(GinCache):
     """Content-addressed JSON files, written atomically."""
 
     def __init__(self, directory: str) -> None:
-        super().__init__()
         self.directory = directory
         os.makedirs(directory, exist_ok=True)
 
     def _path(self, key: str) -> str:
         return os.path.join(self.directory, key + ".json")
 
-    def get(self, key: str, length: int) -> GinResult | None:
-        hit = super().get(key, length)
-        if hit is not None:
-            return hit
-        path = self._path(key)
-        if not os.path.exists(path):
-            return None
-        with open(path, "rb") as fh:
-            data = fh.read()
+    def get(self, key: str) -> bytes | None:
+        """The entry's bytes; None when it is missing or cannot be read."""
         try:
-            doc = json.loads(data)
-            # An answer has colength `length`, and every minimal generator
-            # of an artinian monomial ideal of colength L has degree at most
-            # L: reject a larger one before deriving the Hilbert function,
-            # whose cost grows with the pure powers.
-            if any(sum(map(int, g)) > length for g in doc["generators_full"]):
-                return None
-            res = result_from_json(doc)
-            canonical = json.dumps(result_to_json(res), sort_keys=True)
-        except Exception:
-            # Outside input: whatever fails to decode or derive is a miss,
-            # so the caller recomputes and put() overwrites the file.
+            with open(self._path(key), "rb") as fh:
+                return fh.read()
+        except OSError:
             return None
-        if data != canonical.encode("utf-8"):
-            return None
-        super().put(key, res)
-        return res
 
-    def put(self, key: str, res: GinResult) -> None:
-        super().put(key, res)
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
+    def put(self, key: str, data: bytes) -> None:
+        path = self._path(key)
+        tmp = None
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(result_to_json(res), fh, sort_keys=True)
-            os.replace(tmp, self._path(key))
-        except BaseException:
-            if os.path.exists(tmp):
+            fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(data)
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise StarshapeError(f"cannot write cache entry {path}: {exc}") from exc
+        finally:
+            if tmp is not None and os.path.exists(tmp):
                 os.unlink(tmp)
-            raise

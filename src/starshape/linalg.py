@@ -43,12 +43,13 @@ from .rng import SeededRng
 
 
 def parse_rational(s: str) -> Fraction:
-    """Parse "p/q" or "p" with arbitrary-precision integers."""
+    """Parse "p/q" or "p" with arbitrary-precision integers; ValueError on
+    anything else, a zero denominator included."""
     text = s.strip()
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    num, slash, den = text.partition("/")
+    if slash and int(den) == 0:
+        raise ValueError(f"zero denominator in {text!r}")
+    return Fraction(int(num), int(den) if slash else 1)
 
 
 def format_rational(q: Fraction | int) -> str:

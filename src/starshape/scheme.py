@@ -246,7 +246,7 @@ def load_points(path) -> FatPointScheme:
         for jdx, val in enumerate(raw):
             try:
                 coords.append(parse_rational(str(val)))
-            except (ValueError, ZeroDivisionError) as exc:
+            except ValueError as exc:
                 raise SchemeFormatError(
                     f"{path}: point {idx}, coordinate {jdx}: {exc}"
                 ) from exc

@@ -260,6 +260,25 @@ def test_unknown_command_is_usage_error():
     assert run("frobnicate") == 2
 
 
+def test_cache_entry_that_cannot_be_written_is_an_error(tmp_path, capsys):
+    # A directory where the entry belongs is a miss to read; storing the
+    # recomputed result over it fails, and the CLI says so, with exit 1
+    # and no output or temporary file.
+    cache = tmp_path / "cache"
+    argv = ["star", "--n", "2", "--s", "3", "--m", "2", "--cache", str(cache)]
+    assert main(argv) == 0
+    (path,) = cache.glob("*.json")
+    path.unlink()
+    path.mkdir()
+    capsys.readouterr()
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: cannot write cache entry {path}: ")
+    assert len(err.splitlines()) == 1
+    assert [p.name for p in cache.iterdir()] == [path.name] and path.is_dir()
+
+
 def test_star_recovers_from_truncated_cache_file(tmp_path, capsys):
     cache = tmp_path / "cache"
     argv = ["star", "--n", "2", "--s", "3", "--m", "2", "--cache", str(cache)]
@@ -273,7 +292,7 @@ def test_star_recovers_from_truncated_cache_file(tmp_path, capsys):
     assert path.read_bytes() == intact
 
 
-def test_flags_rejected_before_any_output(tmp_path, monkeypatch):
+def test_flags_rejected_before_any_output(tmp_path, monkeypatch, capsys):
     def no_computation(*args, **kwargs):
         raise AssertionError("flags must be checked before any computation")
 
@@ -321,6 +340,10 @@ def test_flags_rejected_before_any_output(tmp_path, monkeypatch):
     ):
         assert run(*argv, "--cache", str(cache)) == 2
         assert not out.exists() and not svg.exists() and not cache.exists()
+        err = capsys.readouterr().err
+        assert "Fraction(" not in err
+        if "1/0,3" in argv:
+            assert "bad --expect-vertices: zero denominator in '1/0'" in err
     # A cache path that is a file or lies below one, from the flag or the
     # environment, and an output file in a missing directory or at a
     # directory.

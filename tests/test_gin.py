@@ -16,8 +16,8 @@ from oracles import (
     hf_symbolic,
     two_step_gin_degree,
 )
-from starshape import gin, linalg
-from starshape.errors import GenericityError
+from starshape import gin, linalg, monomial
+from starshape.errors import GenericityError, StarshapeError
 from starshape.gin import (
     GIN_BOUND,
     FileGinCache,
@@ -230,13 +230,19 @@ def test_json_roundtrip(star_gin):
     assert doc["generators"] == [[3, 0], [2, 2], [1, 3], [0, 4]]
 
 
-def test_memory_cache_hits():
+def test_memory_cache_hits(monkeypatch):
+    # The store keeps the document's bytes, so a hit passes the same gate
+    # as a file hit and is an equal result, not the stored object.
     sch = build_star(2, 3).scheme(1)
     cache = GinCache()
     a = compute_gin(sch, seed=1, cache=cache)
-    b = compute_gin(sch, seed=1, cache=cache)
-    assert a is b
-    assert cache.get(cache_key(sch, 1), sch.fat_point_degree()) is a
+    assert cache.get(cache_key(sch, 1)) == gin._document(a)
+
+    def no_recompute(*args):
+        raise AssertionError("a hit must not recompute")
+
+    monkeypatch.setattr(gin, "_run_pair", no_recompute)
+    assert compute_gin(sch, seed=1, cache=cache) == a
 
 
 def test_file_cache_roundtrip(tmp_path):
@@ -246,7 +252,7 @@ def test_file_cache_roundtrip(tmp_path):
     fresh = FileGinCache(str(tmp_path))
     b = compute_gin(sch, seed=1, cache=fresh)
     assert same_math(a, b) and a == b
-    assert FileGinCache(str(tmp_path)).get(cache_key(sch, 1), sch.fat_point_degree()) == a
+    assert FileGinCache(str(tmp_path)).get(cache_key(sch, 1)) == gin._document(a)
     assert len(list(tmp_path.glob("*.json"))) == 1
     assert not list(tmp_path.glob("*.tmp"))
 
@@ -609,10 +615,6 @@ DAMAGES = {
     "foreign-seeds": lambda text: edit_document(text, seeds_used=["1", "2"]),
     "no-pure-power": lambda text: edit_document(text, generators_full=[[2, 0, 0], [1, 1, 0]]),
 }
-# Documents that are exactly what their generators define, so the cache
-# reads them back; compute_gin's request and _validate checks reject them.
-# A bound other than GIN_BOUND is not canonical, so it is a miss.
-SELF_CONSISTENT = {"other-m", "foreign-seeds", "consistent-forgery"}
 
 
 @pytest.mark.parametrize("case", DAMAGES)
@@ -624,8 +626,7 @@ def test_broken_cache_file_is_a_miss_and_gets_rewritten(tmp_path, case):
     damaged = DAMAGES[case](intact.decode("utf-8"))
     assert damaged.encode("utf-8") != intact
     path.write_text(damaged, encoding="utf-8")
-    read = FileGinCache(str(tmp_path)).get(path.stem, sch.fat_point_degree())
-    assert (read is not None) == (case in SELF_CONSISTENT)
+    assert gin._served(path.read_bytes(), sch, gin._seed_pairs(1)) is None
     res = compute_gin(sch, seed=1, cache=FileGinCache(str(tmp_path)))
     assert res == good
     assert path.read_bytes() == intact
@@ -650,7 +651,67 @@ def test_cache_read_is_bounded_by_the_request(tmp_path, monkeypatch):
         return hilbert_values(ideal)
 
     monkeypatch.setattr(MonomialIdeal, "hilbert_values", spy)
-    assert FileGinCache(str(tmp_path)).get(path.stem, sch.fat_point_degree()) is None
+    assert gin._served(path.read_bytes(), sch, gin._seed_pairs(1)) is None
     assert derived == []
     assert compute_gin(sch, seed=1, cache=FileGinCache(str(tmp_path))) == good
     assert json.loads(path.read_text(encoding="utf-8")) == result_to_json(good)
+
+
+def test_cache_read_bounds_the_generator_count(tmp_path, monkeypatch):
+    # star(2,3) m=2 has length 9 in 2 variables, so an answer has at most
+    # 2 * 9 = 18 minimal generators.  The 55 degree-9 monomials pass the
+    # degree bound, but the document is a miss before minimalize, quadratic
+    # in their number, runs.
+    sch = build_star(2, 3).scheme(2)
+    good = compute_gin(sch, seed=1)
+    gens = [list(u) for u in monomials_of_degree(3, 9)]
+    assert max(map(sum, gens)) <= sch.fat_point_degree() < len(gens) / 2
+    path = tmp_path / f"{cache_key(sch, 1)}.json"
+    path.write_text(edit_document(json.dumps(result_to_json(good)), generators_full=gens))
+    calls = []
+    real = monomial.minimalize
+
+    def spy(generators):
+        calls.append(generators)
+        return real(generators)
+
+    monkeypatch.setattr(monomial, "minimalize", spy)
+    assert gin._served(path.read_bytes(), sch, gin._seed_pairs(1)) is None
+    assert calls == []
+    assert compute_gin(sch, seed=1, cache=FileGinCache(str(tmp_path))) == good
+    assert path.read_bytes() == gin._document(good)
+
+
+def test_cache_entry_that_cannot_be_read_or_written(tmp_path):
+    # A directory at the entry's path: reading it is a miss, and writing
+    # over it, when the recomputed result is stored, is an error that names
+    # the entry and leaves no temporary file.
+    sch = build_star(2, 3).scheme(2)
+    key = cache_key(sch, 1)
+    (tmp_path / f"{key}.json").mkdir()
+    cache = FileGinCache(str(tmp_path))
+    assert cache.get(key) is None
+    with pytest.raises(StarshapeError, match=f"cannot write cache entry .*{key}.json"):
+        compute_gin(sch, seed=1, cache=cache)
+    assert [p.name for p in tmp_path.iterdir()] == [f"{key}.json"]
+
+
+def test_search_that_never_reaches_the_length_is_reported(monkeypatch):
+    # Every column free mod p: the rank stays 0, below the length, in every
+    # degree up to the cap, under every seed pair.
+    monkeypatch.setattr(gin, "free_columns_mod_p", lambda rows, ncols: list(range(ncols)))
+    with pytest.raises(GenericityError) as info:
+        compute_gin(build_star(2, 3).scheme(1), seed=2)
+    assert str(info.value).count("failed to stabilize by degree 10") == 3
+
+
+def test_validate_refuses_another_power(star_gin):
+    # star(2,3) m=2 has colength 9; the m=3 scheme has length 18.
+    with pytest.raises(GenericityError, match="colength 9 != expected 18"):
+        gin._validate(star_gin(2, 3, 2), build_star(2, 3).scheme(3))
+
+
+def test_t_vector_needs_every_pure_power():
+    res = GinResult(2, 1, MonomialIdeal(3, [(1, 0, 0)]), (0, 0))
+    with pytest.raises(GenericityError, match="missing pure power on axis 2"):
+        res.t_vector()

@@ -383,3 +383,26 @@ def test_mixed_degree_inverts_its_square_system_once(monkeypatch, lift_calls):
     assert certified_free_columns(rows, 4) == exact_free_columns(rows, 4) == [0, 2]
     assert lift_calls == [("columns", [2]), ("rows", [2])]
     assert inverses == [[[1, 1], [0, 1]]]
+
+
+def test_lifting_that_never_reconstructs_gives_no_certificate(monkeypatch):
+    # Column 0 is free below the pivot 1, and row 1 is a non-pivot row: the
+    # rule takes one dual certificate.  With every reconstruction failing,
+    # _dixon_solve runs to its step cap and returns None, so nothing is
+    # proved.
+    rows = [[1, 2], [2, 4]]
+    assert certified_free_columns(rows, 2) == [0]
+    tries, solved = [], []
+    solve = linalg._dixon_solve
+
+    def never(xs, modulus, bound):
+        tries.append(modulus)
+
+    def spy(square, rhs, inv_cols):
+        solved.append(solve(square, rhs, inv_cols))
+        return solved[-1]
+
+    monkeypatch.setattr(linalg, "_reconstruct", never)
+    monkeypatch.setattr(linalg, "_dixon_solve", spy)
+    assert certified_free_columns(rows, 2) is None
+    assert solved == [None] and len(tries) > 1

@@ -341,9 +341,12 @@ def test_load_points_conic_and_errors(tmp_path):
         ("points-dict", {"dim": 2, "points": {"0": ["1", "1", "1"]}}, "points must be a list"),
         ("point-str", {"dim": 2, "points": ["1 1 1"]}, "point 0 must be a list"),
         ("coord-x", {"dim": 2, "points": [["1", "x", "1"]]}, "point 0, coordinate 1"),
+        ("coord-zero-den", {"dim": 2, "points": [["1/0", "1", "1"]]},
+         "point 0, coordinate 0: zero denominator in '1/0'"),
         ("dim-0", {"dim": 0, "points": [["1"]]}, "ambient dimension must be at least 1"),
     ):
         bad = tmp_path / f"{name}.json"
         bad.write_text(json.dumps(doc))
-        with pytest.raises(SchemeFormatError, match=message):
+        with pytest.raises(SchemeFormatError, match=message) as info:
             load_points(bad)
+        assert "Fraction(" not in str(info.value)
