@@ -32,7 +32,7 @@ from .invariants import (
     verify_theorem,
 )
 from .linalg import format_rational, parse_rational
-from .scheme import load_points
+from .scheme import COEFF_BOUND, load_points
 from .shape import AxisSimplex, scaled, shape_of, staircase_svg, points_csv
 
 CACHE_ENV = "STARSHAPE_CACHE"
@@ -54,7 +54,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
             p.add_argument("--mode", choices=("vandermonde", "seeded"), default="vandermonde")
             p.add_argument("--coeff-bound", type=int, dest="coeff_bound",
                            help="coefficient range [-B, B] of the seeded hyperplanes "
-                           "(--mode seeded only; default 1000)")
+                           f"(--mode seeded only; default {COEFF_BOUND})")
         p.add_argument("--seed", type=int, default=0, help="64-bit master seed")
         p.add_argument("--json", dest="json_path", help="write a JSON report here")
         p.add_argument("--csv", dest="csv_path", help="write a CSV table here")
@@ -99,36 +99,33 @@ def _cache_from(args) -> GinCache | None:
 
 
 def _write(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise StarshapeError(f"cannot write {path}: {exc}") from exc
 
 
 def _emit_json(path: str, doc: dict) -> None:
     _write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+def _table(report: InvariantReport) -> list[list]:
+    """The per-power table that the CSV and the printout show: a header,
+    then m, alpha, t_1..t_n, reg and colength of each power."""
+    head = ["m", "alpha", *(f"t{i}" for i in range(1, report.n + 1)), "reg", "colength"]
+    return [head] + [[r.m, r.alpha(), *r.t_vector(), r.regularity(), r.colength]
+                     for r in report.results]
+
+
 def _report_csv(report: InvariantReport) -> str:
-    n = report.n
-    header = "m,alpha," + ",".join(f"t{i}" for i in range(1, n + 1)) + ",reg,colength"
-    lines = [header]
-    for r in report.results:
-        lines.append(
-            f"{r.m},{r.alpha()},"
-            + ",".join(str(t) for t in r.t_vector())
-            + f",{r.regularity()},{r.colength}"
-        )
-    return "\n".join(lines) + "\n"
+    return "".join(",".join(map(str, row)) + "\n" for row in _table(report))
 
 
 def _print_report(report: InvariantReport, out) -> None:
-    n = report.n
-    head = f"{'m':>3} {'alpha':>6} " + " ".join(f"{'t%d' % i:>4}" for i in range(1, n + 1))
-    head += f" {'reg':>4} {'colength':>9}"
-    print(head, file=out)
-    for r in report.results:
-        line = f"{r.m:>3} {r.alpha():>6} " + " ".join(f"{t:>4}" for t in r.t_vector())
-        line += f" {r.regularity():>4} {r.colength:>9}"
-        print(line, file=out)
+    widths = [3, 6, *[4] * report.n, 4, 9]
+    for row in _table(report):
+        print(" ".join(f"{v:>{w}}" for v, w in zip(row, widths)), file=out)
     print(
         "waldschmidt upper bound: "
         + format_rational(report.waldschmidt_min)
@@ -154,7 +151,8 @@ def _finish(report: InvariantReport, args) -> int:
     if args.csv_path:
         _write(args.csv_path, _report_csv(report))
     if getattr(args, "svg_path", None):
-        _write(args.svg_path, staircase_svg(report.shapes[-1], report.expected))
+        last = report.results[-1]
+        _write(args.svg_path, staircase_svg(scaled(shape_of(last), last.m), report.expected))
     return 0 if report.all_pass() else 1
 
 
@@ -164,7 +162,7 @@ def _check_common(args, parser) -> None:
         if not 1 <= args.n <= args.s:
             parser.error("need --s >= --n >= 1")
         if args.coeff_bound is None:
-            args.coeff_bound = 1000
+            args.coeff_bound = COEFF_BOUND
         elif args.mode != "seeded":
             parser.error("--coeff-bound applies only with --mode seeded")
         elif args.coeff_bound < 2:
@@ -217,15 +215,8 @@ def _cmd_verify(args, parser) -> int:
     if args.m_max < args.n:
         parser.error("--m-max must be at least --n (vertex hits need m = n)")
     _check_svg(args, args.n, parser)
-    report = verify_theorem(
-        args.n,
-        args.s,
-        args.m_max,
-        mode=args.mode,
-        seed=args.seed,
-        bound=args.coeff_bound,
-        cache=_cache_from(args),
-    )
+    report = verify_theorem(args.n, args.s, args.m_max, mode=args.mode, seed=args.seed,
+                            bound=args.coeff_bound, cache=_cache_from(args))
     return _finish(report, args)
 
 
@@ -255,13 +246,8 @@ def _cmd_custom(args, parser) -> int:
             parser.error(f"--expect-vertices needs {base.dim} values, one per axis")
         if any(a <= 0 for a in expect):
             parser.error("--expect-vertices must all be positive")
-    report = custom_report(
-        base,
-        args.m_max,
-        expect_intercepts=expect,
-        seed=args.seed,
-        cache=_cache_from(args),
-    )
+    report = custom_report(base, args.m_max, expect_intercepts=expect, seed=args.seed,
+                           cache=_cache_from(args))
     return _finish(report, args)
 
 

@@ -396,7 +396,10 @@ class FileGinCache(GinCache):
 
     def __init__(self, directory: str) -> None:
         self.directory = directory
-        os.makedirs(directory, exist_ok=True)
+        try:
+            os.makedirs(directory, exist_ok=True)
+        except OSError as exc:
+            raise StarshapeError(f"cannot create cache directory {directory}: {exc}") from exc
 
     def _path(self, key: str) -> str:
         return os.path.join(self.directory, key + ".json")

@@ -20,7 +20,7 @@ from typing import Sequence
 from .gin import GinCache, GinResult, compute_gin
 from .linalg import format_rational
 from .rng import SeededRng, mix64
-from .scheme import FatPointScheme, StarConfiguration, build_star
+from .scheme import COEFF_BOUND, FatPointScheme, StarConfiguration, build_star
 from .shape import AxisSimplex, Shape, avoids_interior, q_area_2d, scaled, shape_of
 
 
@@ -41,8 +41,8 @@ def gin_seed(seed: int) -> int:
 
 @dataclass(frozen=True)
 class InvariantReport:
-    """The validated result and scaled shape of each power m = 1, 2, ...,
-    plus named pass/fail verdicts.
+    """The validated result of each power m = 1, 2, ..., plus named
+    pass/fail verdicts.
 
     The per-power numbers are read off the results: alpha(), t_vector(),
     regularity() and colength.  compute_gin returns only Borel-fixed results
@@ -55,7 +55,6 @@ class InvariantReport:
     n: int
     s: int | None
     results: list[GinResult] = field(repr=False)
-    shapes: list[Shape] = field(repr=False)
     verdicts: dict[str, bool]
     areas: list[Fraction] | None = None
     expected: AxisSimplex | None = None
@@ -141,7 +140,7 @@ def verify_theorem(
     m_max: int,
     mode: str = "vandermonde",
     seed: int = 0,
-    bound: int = 1000,
+    bound: int = COEFF_BOUND,
     cache: GinCache | None = None,
 ) -> InvariantReport:
     """Compute initial ideals of the first m_max symbolic powers of a star
@@ -176,7 +175,7 @@ def verify_theorem(
     if n == 2:
         verdicts["V5"] = all(a >= simplex.volume for a in areas)
     above = [r.m for r in results if Fraction(r.t_vector()[-1], r.m) > simplex.intercepts[-1]]
-    return InvariantReport(n=n, s=s, results=results, shapes=shapes, verdicts=verdicts,
+    return InvariantReport(n=n, s=s, results=results, verdicts=verdicts,
                            areas=areas, expected=simplex, reg_above_line=above)
 
 
@@ -216,5 +215,5 @@ def custom_report(
                 for t, a in zip(r.t_vector(), simplex.intercepts)
             ),
         }
-    return InvariantReport(n=base.dim, s=None, results=results, shapes=shapes,
+    return InvariantReport(n=base.dim, s=None, results=results,
                            verdicts=verdicts, areas=areas, expected=simplex)

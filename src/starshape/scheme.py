@@ -30,6 +30,7 @@ from .monomial import Exponents, monomials_of_degree
 from .rng import SeededRng
 
 Coords = tuple[Fraction, ...]
+COEFF_BOUND = 1000  # default coefficient bound of the seeded hyperplanes
 
 
 def normalize_point(coords: Sequence[Fraction]) -> Coords:
@@ -176,7 +177,7 @@ def build_star(
     s: int,
     mode: str = "vandermonde",
     seed: int = 0,
-    bound: int = 1000,
+    bound: int = COEFF_BOUND,
 ) -> StarConfiguration:
     """Star configuration of the n-wise intersection points of s hyperplanes.
 

@@ -279,6 +279,24 @@ def test_cache_entry_that_cannot_be_written_is_an_error(tmp_path, capsys):
     assert [p.name for p in cache.iterdir()] == [path.name] and path.is_dir()
 
 
+@pytest.mark.parametrize("flag", ["--json", "--cache"])
+def test_file_that_cannot_be_written_is_an_error(tmp_path, capsys, flag):
+    # A name longer than any file system allows fails for every user; the
+    # CLI says so in one line, with exit 1.
+    path = tmp_path / ("x" * 300)
+    cache = [] if flag == "--cache" else ["--no-cache"]
+    assert run("star", "--n", "2", "--s", "3", "--m", "1", flag, str(path), *cache) == 1
+    out, err = capsys.readouterr()
+    if flag == "--json":
+        assert out.startswith("star(n=2, s=3) m=1: ")
+        assert err.startswith(f"error: cannot write {path}: ")
+    else:
+        assert out == ""
+        assert err.startswith(f"error: cannot create cache directory {path}: ")
+    assert len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_star_recovers_from_truncated_cache_file(tmp_path, capsys):
     cache = tmp_path / "cache"
     argv = ["star", "--n", "2", "--s", "3", "--m", "2", "--cache", str(cache)]

@@ -121,6 +121,15 @@ def test_verify_theorem_rejects_bad_arguments():
         verify_theorem(2, 4, 1)  # m_max < n
 
 
+@pytest.mark.parametrize(
+    "m_max, expect, message",
+    [(0, None, "m_max must be at least 1"), (2, [F(2)], "wrong length")],
+)
+def test_custom_report_rejects_bad_arguments(conic_scheme, m_max, expect, message):
+    with pytest.raises(ValueError, match=message):
+        custom_report(conic_scheme, m_max, expect_intercepts=expect)
+
+
 def test_custom_report_conic(gin_cache, conic_scheme):
     plain = custom_report(conic_scheme, 3, cache=gin_cache)
     assert plain.verdicts == {}

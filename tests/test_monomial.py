@@ -195,3 +195,19 @@ def test_generator_degrees_need_borel_fixedness():
     assert j.pure_power_threshold(1) == 3
     assert max(sum(g) for g in j.generators) == 3
     assert j.pure_power_threshold(2) == 2
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: monomials_of_degree(0, 2), "at least one variable"),
+        (lambda: MonomialIdeal(2, [(1, 0, 0)]), "wrong number of variables"),
+        (lambda: MonomialIdeal(2, [(1, -1)]), "negative exponent"),
+        (lambda: MonomialIdeal(2, GIN23_M2).contains((1, 1, 1)), "wrong number of variables"),
+        (lambda: MonomialIdeal(2, GIN23_M2).hilbert_function(-1), "non-negative"),
+        (lambda: MonomialIdeal(2, GIN23_M2).pure_power_threshold(3), "out of range"),
+    ],
+)
+def test_monomial_functions_reject_bad_arguments(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

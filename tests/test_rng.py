@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -47,3 +48,15 @@ def test_derive_gives_independent_deterministic_substreams():
     b = SeededRng(7).derive(2)
     assert a1.next_u64() == a2.next_u64()
     assert SeededRng(7).derive(1).next_u64() != b.next_u64()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: SeededRng(0).next_below(0), "must be positive"),
+        (lambda: SeededRng(0).next_int(2, 1), "empty range"),
+    ],
+)
+def test_draws_reject_empty_ranges(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -350,3 +350,21 @@ def test_load_points_conic_and_errors(tmp_path):
         with pytest.raises(SchemeFormatError, match=message) as info:
             load_points(bad)
         assert "Fraction(" not in str(info.value)
+
+
+ORIGIN = (Fraction(0), Fraction(0), Fraction(1))
+
+
+@pytest.mark.parametrize(
+    "dim, points, multiplicity, message",
+    [
+        (0, (ORIGIN,), 1, "dimension must be at least 1"),
+        (2, (ORIGIN,), 0, "multiplicity must be at least 1"),
+        (2, (), 1, "empty point list"),
+        (2, ((Fraction(1), Fraction(1)),), 1, "expected 3 coordinates"),
+        (2, (ORIGIN, (0, 0, 2)), 1, "coincide"),
+    ],
+)
+def test_fat_point_scheme_rejects_bad_arguments(dim, points, multiplicity, message):
+    with pytest.raises(SchemeFormatError, match=message):
+        FatPointScheme(dim, points, multiplicity)

@@ -342,3 +342,29 @@ def test_svg_and_csv_outputs(star_gin):
     assert lines[-1] == "intercept,3/2,2"
     with pytest.raises(ValueError):
         staircase_svg(shape_of(star_gin(3, 3, 1)))
+
+
+# The staircase (x^2, y^2) in two variables, and (x^2, y^2) in three, where
+# the z axis has no pure power.
+SQUARE = Shape(2, ((2, 0), (0, 2)))
+NO_Z = Shape(3, ((2, 0, 0), (0, 2, 0)))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: scaled(SQUARE, 0), ValueError, "positive integer"),
+        (lambda: axis_intercept(SQUARE, 3), ValueError, "out of range"),
+        (lambda: contains(SQUARE, (1, 1, 1)), ValueError, "dimension mismatch"),
+        (lambda: contains(SQUARE, (-1, 1)), ValueError, "orthant"),
+        (lambda: q_area_2d(NO_Z), ValueError, "two variables"),
+        (lambda: q_volume_estimate(NO_Z, samples=0), ValueError, "one sample"),
+        (lambda: q_volume_estimate(NO_Z), UnboundedRegionError, "missing pure power"),
+        (lambda: AxisSimplex((1, 0)), ValueError, "positive"),
+        (lambda: avoids_interior(SQUARE, AxisSimplex((1, 1, 1))), ValueError,
+         "dimension mismatch"),
+    ],
+)
+def test_shape_functions_reject_bad_arguments(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
