@@ -21,7 +21,7 @@ import tempfile
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from starshape.cli import main as starshape
+from starshape.cli import cannot_write, main as starshape
 
 
 def main() -> int:
@@ -37,6 +37,8 @@ def main() -> int:
         ap.error("--m-max-2 must be at least 2")
     if args.m3 < 3:
         ap.error("--m-max-3 must be at least 3")
+    if args.json_path and cannot_write(args.json_path):
+        ap.error(f"--json: cannot write a file at {args.json_path}")
 
     cache = ["--cache", args.cache_dir] if args.cache_dir else ["--no-cache"]
     grid = [(2, s, args.m2) for s in (3, 4, 5)] + [(3, s, args.m3) for s in (4, 5)]

@@ -176,9 +176,14 @@ def _check_common(args, parser) -> None:
             parser.error(f"cache path {directory}: {existing} is not a directory")
     for flag in ("json", "csv", "svg"):
         path = getattr(args, f"{flag}_path", None)
-        if path and (os.path.isdir(path)
-                     or not os.path.isdir(os.path.dirname(os.path.abspath(path)))):
+        if path and cannot_write(path):
             parser.error(f"--{flag}: cannot write a file at {path}")
+
+
+def cannot_write(path: str) -> bool:
+    """Whether no file can be created at path: it is a directory, or its
+    parent directory is missing."""
+    return os.path.isdir(path) or not os.path.isdir(os.path.dirname(os.path.abspath(path)))
 
 
 def _check_svg(args, n: int, parser) -> None:

@@ -22,6 +22,19 @@ is proved by a certificate from its profile mod p
 (linalg.certified_free_columns), and the colength check of _validate
 closes the argument.
 
+A star's hyperplanes make most certificates free.  Products of them that
+vanish to order m at every point lie in I^(m), so in a degree e with N
+monomials they bound the rank over Q of the conditions on any column
+subset sub from above (_StarProducts, passed as the rank bound):
+  - rank_Q(A_sub) <= rank_Q(A_full) = N - dim I_e;
+  - vectors independent mod p are independent over Q, so dim I_e >=
+    rank_p(products), and their values at points mod p have no larger rank;
+  - a product vanishes at z to order sum(a_i : h_i(z) = 0), and each
+    incidence is checked exactly in integers.
+Where that bound equals the rank mod p, no dual certificate is lifted.
+Without hyperplanes (custom schemes), or when the products fall short,
+the certificates run as they would.
+
 Genericity of the random coordinate change is certified operationally: the
 candidate is found under two independently seeded changes and must agree,
 its generator degrees must be proved over Q, and every result is checked
@@ -52,13 +65,17 @@ import tempfile
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
+from math import prod
 from operator import mul
 
 from .errors import GenericityError, StarshapeError
 from .linalg import (
+    MODULUS,
     certified_free_columns,
+    determinant,
     format_rational,
     free_columns_mod_p,
+    pivot_profile_mod_p,
     random_invertible_matrix,
 )
 from .monomial import (
@@ -149,6 +166,100 @@ class GinResult:
         return max(sum(g) for g in self.min_generators.generators)
 
 
+def _minimal_exponents(through: list[list[int]], s: int, m: int) -> list[tuple[int, ...]]:
+    """The minimal a in N^s with sum(a[i] for i in t) >= m for every t in
+    through, ascending by degree.
+
+    A feasible a is minimal exactly when every i with a[i] > 0 lies in some
+    t whose sum is m.  The search sets a[0], a[1], ... in turn, each from
+    the least value the constraints ending at it allow, and only that value
+    once no constraint on it ends later.  An index u not set yet will be at
+    least low[u], what the constraints whose other indices are all set
+    demand.  A branch is cut when a set index j with a[j] > 0 lies in no t
+    whose set entries plus those lows stay within m: no t on j can then end
+    with sum m.
+    """
+    if not all(through):
+        return []
+    on = [[t for t in through if i in t] for i in range(s)]
+    ends = [[t for t in through if max(t) == i] for i in range(s)]
+    # feeds[i]: (u, t) for each u > i and t on u whose other indices are
+    # all set by step i.
+    feeds = [[(u, t) for u in range(i + 1, s) for t in on[u]
+              if max((x for x in t if x != u), default=-1) <= i] for i in range(s)]
+    a = [0] * s
+    found = []
+
+    def search(i):
+        least = max([0] + [m - sum(a[x] for x in t) for t in ends[i]])
+        last = all(max(t) == i for t in on[i])
+        for a[i] in [least] if last else range(least, m + 1):
+            low = a[:i + 1] + [0] * (s - i - 1)
+            for u, t in feeds[i]:
+                low[u] = max(low[u], m - sum(a[x] for x in t if x != u))
+            if all(not a[j] or any(sum(low[x] for x in t) <= m for t in on[j])
+                   for j in range(i + 1)):
+                if i + 1 < s:
+                    search(i + 1)
+                else:
+                    found.append(tuple(a))
+        a[i] = 0
+
+    search(0)
+    return sorted(found, key=sum)
+
+
+class _StarProducts:
+    """Products of a star's hyperplanes that lie in the symbolic power after
+    the change g1, for proving rank bounds (_run_pair, step 4).
+
+    A hyperplane h through a point p moves to h' = h adj(g1), since
+    h' (g1 p) = det(g1) h(p).  A product of the h'_i ** a_i vanishes at a
+    moved point z to order sum(a_i : h'_i(z) = 0), each incidence checked
+    exactly in integers, so it lies in I^(m) when that sum is at least m at
+    every point; the minimal such a are the candidates.  Nothing depends on
+    whether these products generate I^(m): fewer only weaken the bound.
+    """
+
+    def __init__(self, planes, g1, z1, m: int, rng: SeededRng) -> None:
+        self.k, self.z1, self.m, self.rng = len(g1), z1, m, rng
+        # (h adj(g1))_j is the determinant of g1 with row j replaced by h.
+        self.moved = [[determinant(g1[:j] + [list(h)] + g1[j + 1:]) for j in range(self.k)]
+                      for h in planes]
+        self.points: list[list[int]] = []
+
+    @cached_property
+    def exponents(self) -> list[tuple[int, ...]]:
+        through = [[i for i, h in enumerate(self.moved) if not sum(map(mul, h, z))]
+                   for z in self.z1]
+        return _minimal_exponents(through, len(self.moved), self.m)
+
+    def rank(self, e: int, count: int) -> int:
+        """A lower bound on dim I_e, at most count: the rank mod p of the
+        degree-e products times every monomial of the remaining degree, as
+        values at `count` points drawn mod p.  The values are the products'
+        coefficient vectors mod p times the monomials' values, so their
+        rank is at most the coefficients' rank mod p, itself at most their
+        rank over Q."""
+        p, k = MODULUS, self.k
+        while len(self.points) < count:
+            self.points.append([self.rng.next_below(p) for _ in range(k)])
+        qs = self.points[:count]
+        plane_values = [[sum(map(mul, h, q)) % p for q in qs] for h in self.moved]
+        monomial_values: dict[tuple[int, ...], list[int]] = {}
+        rows = []
+        for a in self.exponents:
+            if sum(a) > e:
+                break
+            product = [prod(pow(v[c], ai, p) for v, ai in zip(plane_values, a)) % p
+                       for c in range(count)]
+            for b in monomials_of_degree(k, e - sum(a)):
+                if b not in monomial_values:
+                    monomial_values[b] = [prod(map(pow, q, b)) % p for q in qs]
+                rows.append(list(map(mul, product, monomial_values[b])))
+        return len(pivot_profile_mod_p(rows, count)[1])
+
+
 def _run_pair(
     sch: FatPointScheme,
     g1: list[list[int]],
@@ -175,7 +286,14 @@ def _run_pair(
        degree-e monomials that no lower-degree generator of J divides.
        Their free columns over Q, proved by linalg.certified_free_columns,
        lie in in(I), and they must be exactly J's degree-e generators.  So
-       J is in in(I).  A certificate that fails fails this step.
+       J is in in(I).  A certificate that fails fails this step.  For a
+       star the proof gets N - rank_p(products) as an upper bound on the
+       rank over Q, N the degree-e monomials, from the products of its
+       hyperplanes moved by g1 (module docstring): they lie in I_e, whose
+       dimension is N minus the rank of the full condition matrix, at
+       least the rank of A_sub.  The products are built only when the
+       proof would otherwise lift dual certificates, and evaluated at
+       dim J_e points, the count that lets the bound meet the rank.
        (Below degree m-1 the rows vanish and every column is free, x_k^e
        among them, so a generator there fails this check; in degree 0 it
        is the unit ideal, which fails the colength check below.)
@@ -219,12 +337,23 @@ def _run_pair(
         + [u + (0,) for u in monomials_of_degree(n, d + 1)],
     )
     gens = candidate.generators
+    # The products' evaluation points come from a substream of g1's seed.
+    products = (_StarProducts(sch.hyperplanes, g1, z1, m, SeededRng(seeds[0]).derive(1))
+                if sch.hyperplanes else None)
     for e in sorted({sum(g) for g in gens}):
         lower = [g for g in gens if sum(g) < e]
-        sub = [u for u in monomials_of_degree(k, e)
-               if not any(divides(g, u) for g in lower)]
-        proved = certified_free_columns(_condition_rows(z1, m, sub), len(sub))
-        if proved is None or [sub[j] for j in proved] != [g for g in gens if sum(g) == e]:
+        mons = monomials_of_degree(k, e)
+        sub = [u for u in mons if not any(divides(g, u) for g in lower)]
+        top = [g for g in gens if sum(g) == e]
+
+        def rank_bound():
+            # At dim J_e points (the len(mons) - len(sub) multiples of lower
+            # generators, and top) the bound can meet J's rank and no more.
+            return len(mons) - products.rank(e, len(mons) - len(sub) + len(top))
+
+        proved = certified_free_columns(
+            _condition_rows(z1, m, sub), len(sub), rank_bound if products else None)
+        if proved is None or [sub[j] for j in proved] != top:
             raise GenericityError(f"degree-{e} generators fail the proof over Q")
     return GinResult(n, m, candidate, seeds)
 

@@ -15,11 +15,23 @@ the smallest pivot column; a free column above it gets a column
 certificate, a kernel vector.  Where that takes more vectors than there
 are free columns, every free column gets a column certificate instead.
 Full row rank mod p with the free columns last in the scan takes zero
-vectors.  There is no exact elimination of a condition matrix to fall
-back on: a proof that fails is reported, and the caller redraws its
-coordinate change.  The only exact elimination is determinant (Bareiss),
-on the small square matrices of coordinate changes and hyperplane
-systems.
+vectors.
+
+A caller that has proved an upper bound on the rank over Q by other means
+passes it in, and where it equals the rank mod p it replaces the dual
+certificates.  gin proves one for a star's degree-e conditions A_sub on
+any column subset, with N the degree-e monomials, from products of the
+star's hyperplanes that vanish to order m at every point:
+  - rank_Q(A_sub) <= rank_Q(A_full) = N - dim I_e;
+  - vectors independent mod p are independent over Q, so dim I_e >=
+    rank_p(products);
+  - a product vanishes at z to order sum(a_i : h_i(z) = 0), and each
+    incidence is checked exactly in integers.
+
+There is no exact elimination of a condition matrix to fall back on: a
+proof that fails is reported, and the caller redraws its coordinate
+change.  The only exact elimination is determinant (Bareiss), on the small
+square matrices of coordinate changes and hyperplane systems.
 
 The mod-p work packs each row into one big integer, one slot per entry, so
 a row operation is one multiply-add.  p is below 2**26, so a slot that
@@ -37,7 +49,7 @@ import sys
 from array import array
 from fractions import Fraction
 from operator import mul
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .rng import SeededRng
 
@@ -337,7 +349,9 @@ def _kernel_certificates(
 
 
 def certified_free_columns(
-    rows: Sequence[Sequence[int]], ncols: int
+    rows: Sequence[Sequence[int]],
+    ncols: int,
+    rank_bound: Callable[[], int] | None = None,
 ) -> list[int] | None:
     """Non-pivot columns of the last-column-first scan over Q, proved from
     the profile mod p; None when the proof fails.
@@ -361,6 +375,12 @@ def certified_free_columns(
     all equal.  Every longer suffix has a Q-rank between rank_Q(S*) and
     rank_Q(A), so no leading column raises the rank: each is free over Q.
 
+    A rank bound, when given, is a callable returning a proved upper bound
+    on rank_Q(A), called only when non-pivot rows exist.  Since rank_p(A)
+    <= rank_Q(A), a bound equal to rank_p(A) proves rank_Q(A) = rank_p(A)
+    as the dual certificates do, so none is lifted; a bound below it is a
+    contradiction and the proof fails; a larger one proves nothing.
+
     Then by induction over the scan prefixes every suffix has the same
     rank over Q as mod p, and the profiles agree.  Either every free
     column gets a column certificate, or every non-pivot row a dual one
@@ -383,6 +403,12 @@ def certified_free_columns(
     pivot_row_set = set(pivot_rows)
     spare = [i for i in range(len(rows)) if i not in pivot_row_set]
     interleaved = [f for f in free if f > pivots[-1]]
+    if spare and rank_bound is not None:
+        bound = rank_bound()
+        if bound < len(pivots):
+            return None
+        if bound == len(pivots):
+            spare = []
     if len(spare) + len(interleaved) <= len(free):
         cols = interleaved
     else:

@@ -16,7 +16,7 @@ are validated against the configuration invariants.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -48,11 +48,19 @@ def normalize_point(coords: Sequence[Fraction]) -> Coords:
 
 @dataclass(frozen=True)
 class FatPointScheme:
-    """Distinct points of P^dim, all carrying the same multiplicity."""
+    """Distinct points of P^dim, all carrying the same multiplicity.
+
+    A star's scheme also carries its hyperplanes, as integer coefficient
+    rows.  They are a hint for the proof in compute_gin, not part of the
+    scheme: equality, the cache key and result documents ignore them, and
+    every incidence they are used for is checked exactly.
+    """
 
     dim: int
     points: tuple[Coords, ...]
     multiplicity: int
+    hyperplanes: tuple[tuple[int, ...], ...] | None = field(
+        default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.dim < 1:
@@ -74,9 +82,11 @@ class FatPointScheme:
             if p in seen:
                 raise SchemeFormatError(f"points {seen[p]} and {idx} coincide")
             seen[p] = idx
+        if any(len(h) != self.dim + 1 for h in self.hyperplanes or ()):
+            raise SchemeFormatError(f"hyperplanes need {self.dim + 1} coefficients")
 
     def with_multiplicity(self, m: int) -> "FatPointScheme":
-        return FatPointScheme(self.dim, self.points, m)
+        return FatPointScheme(self.dim, self.points, m, self.hyperplanes)
 
     @cached_property
     def int_points(self) -> tuple[tuple[int, ...], ...]:
@@ -136,7 +146,7 @@ class StarConfiguration:
     points: tuple[Coords, ...]
 
     def scheme(self, multiplicity: int = 1) -> FatPointScheme:
-        return FatPointScheme(self.n, self.points, multiplicity)
+        return FatPointScheme(self.n, self.points, multiplicity, self.hyperplanes)
 
 
 def _kernel_vector(rows: list[list[int]], ncols: int) -> list[int] | None:

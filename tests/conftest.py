@@ -52,9 +52,9 @@ def proofs(lift_calls, monkeypatch):
     records = []
     settle = gin.certified_free_columns
 
-    def spy(rows, ncols):
+    def spy(rows, ncols, rank_bound=None):
         before = len(lift_calls)
-        free = settle(rows, ncols)
+        free = settle(rows, ncols, rank_bound)
         lifts = [(kind, len(targets)) for kind, targets in lift_calls[before:]]
         records.append((len(rows), ncols, None if free is None else len(free), lifts))
         return free

@@ -3,6 +3,7 @@ from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from math import comb
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -28,7 +29,7 @@ from starshape.gin import (
     result_from_json,
     result_to_json,
 )
-from starshape.invariants import seeded_star
+from starshape.invariants import gin_seed, seeded_star
 from starshape.linalg import (
     MODULUS,
     certified_free_columns,
@@ -384,13 +385,105 @@ def test_tampered_lift_is_refused_and_q_decides(monkeypatch, lift_calls, solutio
 
 
 def test_last_generator_degree_of_a_star_power_needs_no_lift(proofs):
-    # star(2,4) m=3 has generators in degrees 7 and 9.  Degree 7 is 36 x 36
-    # of rank 32 mod p with its 4 free columns below every pivot, so 4 dual
-    # vectors prove it.  In degree 9 the conditions have full row rank mod
-    # p and the free columns are the last ones scanned: zero vectors.
-    res = compute_gin(build_star(2, 4).scheme(3), seed=2)
+    # star(2,4) m=3, given by its points alone, has generators in degrees 7
+    # and 9.  Degree 7 is 36 x 36 of rank 32 mod p with its 4 free columns
+    # below every pivot, so 4 dual vectors prove it.  In degree 9 the
+    # conditions have full row rank mod p and the free columns are the last
+    # ones scanned: zero vectors.
+    res = compute_gin(FatPointScheme(2, build_star(2, 4).points, 3), seed=2)
     assert sorted({sum(g) for g in res.min_generators.generators}) == [7, 9]
     assert proofs == [(36, 36, 4, [("rows", 4)]), (36, 40, 4, [])]
+
+
+def test_star_power_with_its_hyperplanes_needs_no_lift(proofs):
+    # The same power as a star: products of its four lines prove the rank
+    # of degree 7, so neither degree lifts a vector.
+    res = compute_gin(build_star(2, 4).scheme(3), seed=2)
+    assert sorted({sum(g) for g in res.min_generators.generators}) == [7, 9]
+    assert proofs == [(36, 36, 4, []), (36, 40, 4, [])]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("mode", ["vandermonde", "seeded"])
+@pytest.mark.parametrize("n, s, m", [(2, 4, 4), (3, 5, 3), (4, 5, 3)])
+def test_hyperplanes_prove_the_same_result_without_lifts(lift_calls, n, s, m, mode, seed):
+    # A star's hyperplanes only replace lifted certificates: the same
+    # document, seed pair included, comes out with and without them.
+    star = build_star(n, s, mode, seed=seed)
+    with_planes = compute_gin(star.scheme(m), seed=seed)
+    assert lift_calls == []
+    points_only = compute_gin(FatPointScheme(n, star.points, m), seed=seed)
+    assert lift_calls
+    assert result_to_json(with_planes) == result_to_json(points_only)
+
+
+def test_benchmark_star_powers_run_no_dixon_solve(monkeypatch):
+    # The powers of the star2-deep workload: products prove every degree
+    # that lifted dual certificates, and none has an interleaved column.
+    calls = []
+    solve = linalg._dixon_solve
+
+    def spy(square, rhs, inv_cols):
+        calls.append(len(rhs))
+        return solve(square, rhs, inv_cols)
+
+    monkeypatch.setattr(linalg, "_dixon_solve", spy)
+    for n, s, m_max in [(2, 4, 6), (2, 5, 4)]:
+        for m in range(1, m_max + 1):
+            compute_gin(build_star(n, s).scheme(m), seed=gin_seed(0))
+    assert calls == []
+
+
+def test_hyperplane_moved_off_its_points_falls_back(proofs):
+    # A product with the moved line no longer vanishes at the points of
+    # the old one, and the exact incidence check sees it: the products
+    # fall short in degree 7, which lifts its dual vectors as without
+    # hyperplanes, and the result stays.
+    star = build_star(2, 4)
+    sch = star.scheme(3)
+    h = star.hyperplanes[0]
+    moved = (h[0] + 1,) + h[1:]
+    on_h = [p for p in sch.int_points if not sum(map(mul, h, p))]
+    assert len(on_h) == 3 and all(sum(map(mul, moved, p)) for p in on_h)
+    res = compute_gin(replace(sch, hyperplanes=(moved,) + star.hyperplanes[1:]), seed=2)
+    assert proofs == [(36, 36, 4, [("rows", 4)]), (36, 40, 4, [])]
+    assert result_to_json(res) == result_to_json(compute_gin(sch, seed=2))
+
+
+def test_star_missing_a_hyperplane_falls_back(proofs):
+    star = build_star(2, 4)
+    sch = star.scheme(3)
+    res = compute_gin(replace(sch, hyperplanes=star.hyperplanes[1:]), seed=2)
+    assert proofs == [(36, 36, 4, [("rows", 4)]), (36, 40, 4, [])]
+    assert result_to_json(res) == result_to_json(compute_gin(sch, seed=2))
+
+
+def test_product_bound_below_the_rank_mod_p_is_refused(monkeypatch):
+    # Products of rank above what they are evaluated for would bound the
+    # rank over Q below the rank mod p: a contradiction, so every draw is
+    # refused, and none is accepted.
+    monkeypatch.setattr(gin._StarProducts, "rank", lambda self, e, count: count + 1)
+    with pytest.raises(GenericityError) as info:
+        compute_gin(build_star(2, 4).scheme(3), seed=2)
+    assert str(info.value).count("fail the proof over Q") == 3
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda s: st.tuples(
+    st.just(s), st.integers(1, 4),
+    st.lists(st.sets(st.integers(0, s - 1), min_size=1).map(sorted), min_size=1, max_size=6))))
+def test_minimal_exponents_match_a_brute_force_search(case):
+    # Every a in [0, m]^s that meets each constraint and drops below one
+    # when any positive entry falls by 1.
+    s, m, through = case
+    feasible = {a for a in product(range(m + 1), repeat=s)
+                if all(sum(a[i] for i in t) >= m for t in through)}
+    minimal = {a for a in feasible
+               if not any(a[i] and a[:i] + (a[i] - 1,) + a[i + 1:] in feasible
+                          for i in range(s))}
+    found = gin._minimal_exponents(through, s, m)
+    assert set(found) == minimal and len(found) == len(minimal)
+    assert [sum(a) for a in found] == sorted(sum(a) for a in found)
 
 
 def test_generator_degrees_are_certified_without_q_elimination():
@@ -437,9 +530,9 @@ def test_failed_certificate_redraws(monkeypatch):
     clean = compute_gin(sch, seed=2)
     certify, calls = gin.certified_free_columns, []
 
-    def fails_once(rows, ncols):
+    def fails_once(rows, ncols, rank_bound):
         calls.append(ncols)
-        return None if len(calls) == 1 else certify(rows, ncols)
+        return None if len(calls) == 1 else certify(rows, ncols, rank_bound)
 
     monkeypatch.setattr(gin, "certified_free_columns", fails_once)
     res = compute_gin(sch, seed=2)
@@ -448,7 +541,7 @@ def test_failed_certificate_redraws(monkeypatch):
 
 
 def test_certificate_failing_every_draw_is_reported(monkeypatch):
-    monkeypatch.setattr(gin, "certified_free_columns", lambda rows, ncols: None)
+    monkeypatch.setattr(gin, "certified_free_columns", lambda rows, ncols, rank_bound: None)
     with pytest.raises(GenericityError) as info:
         compute_gin(build_star(2, 4).scheme(3), seed=2)
     assert str(info.value).count("fail the proof over Q") == 3

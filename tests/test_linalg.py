@@ -27,7 +27,7 @@ from starshape.linalg import (
     random_invertible_matrix,
 )
 from starshape.rng import SeededRng
-from starshape.scheme import build_star
+from starshape.scheme import FatPointScheme, build_star
 
 
 fractions_st = st.fractions(
@@ -277,16 +277,52 @@ def test_tampered_dual_certificate_is_refused(monkeypatch, lift_calls, solutions
 
 
 def test_twenty_free_columns_of_star_3_5_take_ten_dual_vectors(proofs):
-    # star(3,5) m=3 has length 100.  Its generator degree with 20 free
-    # columns has rank 90: 10 dual vectors instead of 20 column lifts.  The
-    # degree with one free column keeps its column lift (10 > 1), and the
-    # last generator degree, of full row rank, needs none.
-    compute_gin(build_star(3, 5).scheme(3), seed=0)
+    # star(3,5) m=3, given by its points alone, has length 100.  Its
+    # generator degree with 20 free columns has rank 90: 10 dual vectors
+    # instead of 20 column lifts.  The degree with one free column keeps
+    # its column lift (10 > 1), and the last generator degree, of full row
+    # rank, needs none.
+    compute_gin(FatPointScheme(3, build_star(3, 5).points, 3), seed=0)
     assert proofs == [
         (100, 56, 1, [("columns", 1)]),
         (100, 110, 20, [("rows", 10)]),
         (100, 110, 10, []),
     ]
+
+
+def test_star_3_5_with_its_hyperplanes_lifts_nothing(proofs):
+    # The same power as a star: products of its five planes prove the rank
+    # of the first two degrees, whose free columns all lie below every
+    # pivot, so no degree lifts a vector.
+    compute_gin(build_star(3, 5).scheme(3), seed=0)
+    assert proofs == [(100, 56, 1, []), (100, 110, 20, []), (100, 110, 10, [])]
+
+
+def test_rank_bound_decides_whether_dual_vectors_are_lifted(lift_calls):
+    # Scanned from the last column, column 1 takes row 0 as its pivot, row
+    # 1 is spare and column 0 is free below the pivot: rank 1 mod p.  A
+    # bound of 1 on the rank over Q proves it with no vector; a bound of 2
+    # proves nothing, so the dual certificate of row 1 is lifted as
+    # without one; a bound of 0 contradicts the rank mod p.
+    rows = [[1, 2], [2, 4]]
+    assert certified_free_columns(rows, 2, lambda: 1) == [0]
+    assert lift_calls == []
+    assert certified_free_columns(rows, 2, lambda: 2) == [0]
+    assert lift_calls == [("rows", [1])]
+    assert certified_free_columns(rows, 2, lambda: 0) is None
+    assert lift_calls == [("rows", [1])]
+
+
+@settings(max_examples=200)
+@given(int_matrices(near_multiples_of_p), st.integers(0, 1))
+def test_certificate_with_a_rank_bound_is_exact_or_refused(matrix, shift):
+    # The exact rank over Q is the least true bound: with it, or with one
+    # above it, the answer is the exact profile or a refusal, never another.
+    # (A bound below the rank over Q is a false premise, not a proof.)
+    rows, ncols = matrix
+    exact = exact_free_columns(rows, ncols)
+    got = certified_free_columns(rows, ncols, lambda: ncols - len(exact) + shift)
+    assert got in (None, exact)
 
 
 @settings(max_examples=200)

@@ -16,6 +16,7 @@ from oracles import (
     transform_scheme,
 )
 from starshape.errors import SchemeFormatError
+from starshape.gin import cache_key
 from starshape.linalg import random_invertible_matrix
 from starshape.monomial import monomials_of_degree
 from starshape.rng import SeededRng
@@ -305,6 +306,7 @@ def test_load_points_conic_and_errors(tmp_path):
     )
     sch = load_points(good)
     assert sch.dim == 2 and len(sch.points) == 6 and sch.multiplicity == 1
+    assert sch.hyperplanes is None
 
     dup = tmp_path / "dup.json"
     dup.write_text(
@@ -368,3 +370,17 @@ ORIGIN = (Fraction(0), Fraction(0), Fraction(1))
 def test_fat_point_scheme_rejects_bad_arguments(dim, points, multiplicity, message):
     with pytest.raises(SchemeFormatError, match=message):
         FatPointScheme(dim, points, multiplicity)
+
+
+def test_star_schemes_carry_their_hyperplanes_outside_equality():
+    # The hyperplanes ride along as a proof hint: equality, hashing and
+    # the cache key see only the points and the multiplicity.
+    star = build_star(2, 4)
+    sch = star.scheme(3)
+    bare = FatPointScheme(2, star.points, 3)
+    assert sch.hyperplanes == star.hyperplanes and bare.hyperplanes is None
+    assert sch.with_multiplicity(5).hyperplanes == star.hyperplanes
+    assert sch == bare and hash(sch) == hash(bare)
+    assert cache_key(sch, 0) == cache_key(bare, 0)
+    with pytest.raises(SchemeFormatError, match="hyperplanes need 3 coefficients"):
+        FatPointScheme(2, star.points, 3, ((1, 2),))

@@ -58,3 +58,13 @@ def test_reproduce_tables_rejects_powers_below_n_before_any_work(args):
     assert done.returncode == 2
     assert done.stdout == ""
     assert "must be at least" in done.stderr
+
+
+@pytest.mark.parametrize("where", ["missing/tables.json", "."], ids=["missing-dir", "a-dir"])
+def test_reproduce_tables_rejects_an_unwritable_json_path_before_any_work(tmp_path, where):
+    # The same check as the CLI's: no run starts when the document has
+    # nowhere to go.
+    done = run_script("reproduce_tables.py", "--m-max-2", "2", "--json", str(tmp_path / where))
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert "--json: cannot write a file at" in done.stderr
