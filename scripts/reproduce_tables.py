@@ -21,7 +21,7 @@ import tempfile
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from starshape.cli import cannot_write, main as starshape
+from starshape.cli import blocking_file, cannot_write, main as starshape
 
 
 def main() -> int:
@@ -37,6 +37,8 @@ def main() -> int:
         ap.error("--m-max-2 must be at least 2")
     if args.m3 < 3:
         ap.error("--m-max-3 must be at least 3")
+    if args.cache_dir and (blocker := blocking_file(args.cache_dir)):
+        ap.error(f"cache path {args.cache_dir}: {blocker} is not a directory")
     if args.json_path and cannot_write(args.json_path):
         ap.error(f"--json: cannot write a file at {args.json_path}")
 

@@ -24,7 +24,6 @@ from .monomial import MonomialIdeal, monomials_of_degree
 from .rng import SeededRng
 from .scheme import (
     FatPointScheme,
-    StarConfiguration,
     build_star,
     load_points,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "SchemeFormatError",
     "SeededRng",
     "Shape",
-    "StarConfiguration",
     "StarshapeError",
     "UnboundedRegionError",
     "avoids_interior",

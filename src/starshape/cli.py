@@ -168,16 +168,21 @@ def _check_common(args, parser) -> None:
         elif args.coeff_bound < 2:
             parser.error("--coeff-bound must be at least 2")
     directory = _cache_dir(args)
-    if directory:
-        existing = os.path.abspath(directory)
-        while not os.path.exists(existing):
-            existing = os.path.dirname(existing)
-        if not os.path.isdir(existing):
-            parser.error(f"cache path {directory}: {existing} is not a directory")
+    if directory and (blocker := blocking_file(directory)):
+        parser.error(f"cache path {directory}: {blocker} is not a directory")
     for flag in ("json", "csv", "svg"):
         path = getattr(args, f"{flag}_path", None)
         if path and cannot_write(path):
             parser.error(f"--{flag}: cannot write a file at {path}")
+
+
+def blocking_file(directory: str) -> str | None:
+    """The nearest existing path at or above directory if it is not a
+    directory, so that none can be made there; else None."""
+    existing = os.path.abspath(directory)
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    return None if os.path.isdir(existing) else existing
 
 
 def cannot_write(path: str) -> bool:
@@ -198,7 +203,7 @@ def _cmd_star(args, parser) -> int:
     _check_svg(args, args.n, parser)
     cache = _cache_from(args)
     star = seeded_star(args.n, args.s, args.mode, args.seed, args.coeff_bound)
-    res = compute_gin(star.scheme(args.m), seed=gin_seed(args.seed), cache=cache)
+    res = compute_gin(star.with_multiplicity(args.m), seed=gin_seed(args.seed), cache=cache)
     doc = result_to_json(res)
     doc["mode"] = args.mode
     doc["s"] = args.s
@@ -260,7 +265,7 @@ def _cmd_invariants(args, parser) -> int:
     if args.m_max < 1:
         parser.error("--m-max must be at least 1")
     star = seeded_star(args.n, args.s, args.mode, args.seed, args.coeff_bound)
-    report = custom_report(star.scheme(1), args.m_max, seed=args.seed, cache=_cache_from(args))
+    report = custom_report(star, args.m_max, seed=args.seed, cache=_cache_from(args))
     return _finish(replace(report, s=args.s), args)
 
 

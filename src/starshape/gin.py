@@ -24,8 +24,9 @@ closes the argument.
 
 A star's hyperplanes make most certificates free.  Products of them that
 vanish to order m at every point lie in I^(m), so in a degree e with N
-monomials they bound the rank over Q of the conditions on any column
-subset sub from above (_StarProducts, passed as the rank bound):
+monomials, N - rank_p(products) bounds the rank over Q of the conditions
+A_sub on any column subset sub from above (_StarProducts, passed as the
+rank bound).  The proof:
   - rank_Q(A_sub) <= rank_Q(A_full) = N - dim I_e;
   - vectors independent mod p are independent over Q, so dim I_e >=
     rank_p(products), and their values at points mod p have no larger rank;
@@ -289,11 +290,10 @@ def _run_pair(
        J is in in(I).  A certificate that fails fails this step.  For a
        star the proof gets N - rank_p(products) as an upper bound on the
        rank over Q, N the degree-e monomials, from the products of its
-       hyperplanes moved by g1 (module docstring): they lie in I_e, whose
-       dimension is N minus the rank of the full condition matrix, at
-       least the rank of A_sub.  The products are built only when the
-       proof would otherwise lift dual certificates, and evaluated at
-       dim J_e points, the count that lets the bound meet the rank.
+       hyperplanes moved by g1 (proved in the module docstring).  The
+       products are built only when the proof would otherwise lift dual
+       certificates, and evaluated at dim J_e points, the count that lets
+       the bound meet the rank.
        (Below degree m-1 the rows vanish and every column is free, x_k^e
        among them, so a generator there fails this check; in degree 0 it
        is the unit ideal, which fails the colength check below.)

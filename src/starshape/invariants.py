@@ -20,15 +20,16 @@ from typing import Sequence
 from .gin import GinCache, GinResult, compute_gin
 from .linalg import format_rational
 from .rng import SeededRng, mix64
-from .scheme import COEFF_BOUND, FatPointScheme, StarConfiguration, build_star
+from .scheme import COEFF_BOUND, FatPointScheme, build_star
 from .shape import AxisSimplex, Shape, avoids_interior, q_area_2d, scaled, shape_of
 
 
 def seeded_star(
     n: int, s: int, mode: str, seed: int, bound: int
-) -> StarConfiguration:
-    """The star configuration that every pipeline run with master seed
-    `seed` uses (the seeded mode draws its hyperplanes from it)."""
+) -> FatPointScheme:
+    """The star configuration, as a multiplicity-1 scheme, that every
+    pipeline run with master seed `seed` uses (the seeded mode draws its
+    hyperplanes from it)."""
     star_seed = SeededRng(mix64(seed)).derive(1).next_u64()
     return build_star(n, s, mode=mode, seed=star_seed, bound=bound)
 
@@ -161,8 +162,7 @@ def verify_theorem(
         raise ValueError("need s >= n >= 1")
     if m_max < n:
         raise ValueError("m_max must be at least n (vertex hits need m = n)")
-    star = seeded_star(n, s, mode, seed, bound)
-    results = compute_power_results(star.scheme(1), m_max, seed, cache)
+    results = compute_power_results(seeded_star(n, s, mode, seed, bound), m_max, seed, cache)
     simplex = AxisSimplex.star(n, s)
     shapes, areas = _shapes(results, n)
     verdicts = {

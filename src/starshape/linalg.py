@@ -19,14 +19,10 @@ vectors.
 
 A caller that has proved an upper bound on the rank over Q by other means
 passes it in, and where it equals the rank mod p it replaces the dual
-certificates.  gin proves one for a star's degree-e conditions A_sub on
-any column subset, with N the degree-e monomials, from products of the
-star's hyperplanes that vanish to order m at every point:
-  - rank_Q(A_sub) <= rank_Q(A_full) = N - dim I_e;
-  - vectors independent mod p are independent over Q, so dim I_e >=
-    rank_p(products);
-  - a product vanishes at z to order sum(a_i : h_i(z) = 0), and each
-    incidence is checked exactly in integers.
+certificates.  gin passes one for a star's degree-e conditions: N minus
+the rank mod p of products of the star's hyperplanes that vanish to order
+m at every point, N the degree-e monomials.  Its proof is in gin's module
+docstring.
 
 There is no exact elimination of a condition matrix to fall back on: a
 proof that fails is reported, and the caller redraws its coordinate
@@ -376,7 +372,8 @@ def certified_free_columns(
     rank_Q(A), so no leading column raises the rank: each is free over Q.
 
     A rank bound, when given, is a callable returning a proved upper bound
-    on rank_Q(A), called only when non-pivot rows exist.  Since rank_p(A)
+    on rank_Q(A), called only when non-pivot rows exist (for a star, gin
+    passes N - rank_p(products); see its module docstring).  Since rank_p(A)
     <= rank_Q(A), a bound equal to rank_p(A) proves rank_Q(A) = rank_p(A)
     as the dual certificates do, so none is lifted; a bound below it is a
     contradiction and the proof fails; a larger one proves nothing.

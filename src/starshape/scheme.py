@@ -8,9 +8,12 @@ order m-1 vanish at every point (lower orders then vanish as well, by
 Euler's relation, as long as d >= m-1).  That turns each degree into one
 exact kernel computation on an integer condition matrix.
 
-Star configurations are built from s hyperplanes, either the always-valid
-Vandermonde family h_j = sum_i j^i x_{i+1} or a seeded random family; both
-are validated against the configuration invariants.
+A star configuration is the scheme of the n-wise intersection points of
+s hyperplanes, either the always-valid Vandermonde family
+h_j = sum_i j^i x_{i+1} or a seeded random family; both are validated
+against the configuration invariants.  build_star returns that scheme at
+multiplicity 1, carrying its hyperplanes, and with_multiplicity gives its
+symbolic powers.
 """
 
 from __future__ import annotations
@@ -51,16 +54,17 @@ class FatPointScheme:
     """Distinct points of P^dim, all carrying the same multiplicity.
 
     A star's scheme also carries its hyperplanes, as integer coefficient
-    rows.  They are a hint for the proof in compute_gin, not part of the
-    scheme: equality, the cache key and result documents ignore them, and
-    every incidence they are used for is checked exactly.
+    rows (its s is their count; other schemes carry none).  They are a
+    hint for the proof in compute_gin, not part of the scheme: equality,
+    the cache key and result documents ignore them, and every incidence
+    they are used for is checked exactly.
     """
 
     dim: int
     points: tuple[Coords, ...]
     multiplicity: int
-    hyperplanes: tuple[tuple[int, ...], ...] | None = field(
-        default=None, compare=False, repr=False)
+    hyperplanes: tuple[tuple[int, ...], ...] = field(
+        default=(), compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.dim < 1:
@@ -82,7 +86,7 @@ class FatPointScheme:
             if p in seen:
                 raise SchemeFormatError(f"points {seen[p]} and {idx} coincide")
             seen[p] = idx
-        if any(len(h) != self.dim + 1 for h in self.hyperplanes or ()):
+        if any(len(h) != self.dim + 1 for h in self.hyperplanes):
             raise SchemeFormatError(f"hyperplanes need {self.dim + 1} coefficients")
 
     def with_multiplicity(self, m: int) -> "FatPointScheme":
@@ -135,20 +139,6 @@ def _condition_rows(
     return rows
 
 
-@dataclass(frozen=True)
-class StarConfiguration:
-    """s hyperplanes of P^n in linearly general position and their
-    binom(s, n) n-wise intersection points."""
-
-    n: int
-    s: int
-    hyperplanes: tuple[tuple[int, ...], ...]
-    points: tuple[Coords, ...]
-
-    def scheme(self, multiplicity: int = 1) -> FatPointScheme:
-        return FatPointScheme(self.n, self.points, multiplicity, self.hyperplanes)
-
-
 def _kernel_vector(rows: list[list[int]], ncols: int) -> list[int] | None:
     """Kernel vector of an (ncols-1) x ncols integer system: its signed
     maximal minors, the j-th the determinant with column j deleted; None
@@ -166,7 +156,9 @@ def _kernel_vector(rows: list[list[int]], ncols: int) -> list[int] | None:
 def _points_from_hyperplanes(
     n: int, hyperplanes: Sequence[tuple[int, ...]]
 ) -> list[Coords] | None:
-    """Intersection point of every n-subset; None on any degeneracy."""
+    """Intersection point of every n-subset; None on any degeneracy,
+    coinciding points included, so a seeded draw redraws instead of
+    raising."""
     pts: list[Coords] = []
     seen = set()
     for subset in combinations(range(len(hyperplanes)), n):
@@ -188,8 +180,10 @@ def build_star(
     mode: str = "vandermonde",
     seed: int = 0,
     bound: int = COEFF_BOUND,
-) -> StarConfiguration:
-    """Star configuration of the n-wise intersection points of s hyperplanes.
+) -> FatPointScheme:
+    """The star configuration of s hyperplanes of P^n in linearly general
+    position: the scheme of their binom(s, n) n-wise intersection points, at
+    multiplicity 1, carrying the hyperplanes.
 
     vandermonde: h_j has coefficients (1, j, j^2, ..., j^n) for j = 1..s;
     every n x (n+1) subsystem is a Vandermonde slice of full rank, so this
@@ -204,7 +198,7 @@ def build_star(
         pts = _points_from_hyperplanes(n, planes)
         if pts is None:
             raise DegenerateConfigurationError("vandermonde family degenerated")
-        return StarConfiguration(n, s, planes, tuple(pts))
+        return FatPointScheme(n, tuple(pts), 1, planes)
     if mode == "seeded":
         rng = SeededRng(seed)
         for _ in range(100):
@@ -216,7 +210,7 @@ def build_star(
                 continue
             pts = _points_from_hyperplanes(n, planes)
             if pts is not None:
-                return StarConfiguration(n, s, planes, tuple(pts))
+                return FatPointScheme(n, tuple(pts), 1, planes)
         raise DegenerateConfigurationError(
             "no valid hyperplane family after 100 seeded attempts"
         )

@@ -23,7 +23,7 @@ def star_gin(gin_cache):
 
     def get(n, s, m):
         star = build_star(n, s)
-        return compute_gin(star.scheme(m), seed=GIN_SEED, cache=gin_cache)
+        return compute_gin(star.with_multiplicity(m), seed=GIN_SEED, cache=gin_cache)
 
     return get
 

@@ -251,13 +251,13 @@ def test_c8_structural_suite(star_gin, conic_gin, gin_cache):
             assert dim_d + q == comb(d + res.n, res.n)
 
     # Double-seed and mode independence (recomputed, not cached).
-    sch = build_star(2, 3).scheme(2)
+    sch = build_star(2, 3).with_multiplicity(2)
     a = compute_gin(sch, seed=111)
     b = compute_gin(sch, seed=222)
     assert result_to_json(a)["generators"] == result_to_json(b)["generators"]
     for n, s, m in [(2, 3, 1), (2, 3, 2), (3, 4, 1)]:
-        vand = compute_gin(build_star(n, s).scheme(m), seed=5)
-        seeded = compute_gin(build_star(n, s, mode="seeded", seed=23).scheme(m), seed=5)
+        vand = compute_gin(build_star(n, s).with_multiplicity(m), seed=5)
+        seeded = compute_gin(build_star(n, s, mode="seeded", seed=23).with_multiplicity(m), seed=5)
         assert vand.min_generators == seeded.min_generators
         assert vand.hf_table == seeded.hf_table
 
@@ -281,7 +281,7 @@ def test_c9_rank_and_nullspace_against_naive_oracle(conic_scheme):
     # hf_table.
     checked = 0
     schemes = [
-        build_star(n, s).scheme(m)
+        build_star(n, s).with_multiplicity(m)
         for n, s, m in [(2, 2, 1), (2, 2, 2), (2, 3, 1), (2, 3, 2), (2, 4, 1),
                         (2, 5, 1), (3, 3, 1), (3, 4, 1), (3, 5, 1)]
     ] + [conic_scheme]

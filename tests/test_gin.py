@@ -88,7 +88,7 @@ def test_single_point_powers_of_maximal_ideal(monkeypatch):
     monkeypatch.setattr(gin, "free_columns_mod_p", spy)
     for n, m in product(range(1, 5), range(1, 5)):
         profiles.clear()
-        res = compute_gin(build_star(n, n).scheme(m), seed=5)
+        res = compute_gin(build_star(n, n).with_multiplicity(m), seed=5)
         expected = MonomialIdeal(
             n + 1, [u + (0,) for u in monomials_of_degree(n, m)]
         )
@@ -101,17 +101,17 @@ def test_single_point_powers_of_maximal_ideal(monkeypatch):
 def test_gin_degree_examples(star_gin):
     star = build_star(2, 3)
     g = coordinate_change_for(star_gin(2, 3, 2))
-    assert gin_degree(star.scheme(2), 3, g) == {(3, 0, 0)}
-    assert gin_degree(star.scheme(2), 2, g) == set()
+    assert gin_degree(star.with_multiplicity(2), 3, g) == {(3, 0, 0)}
+    assert gin_degree(star.with_multiplicity(2), 2, g) == set()
     g1 = coordinate_change_for(star_gin(2, 3, 1))
-    assert gin_degree(star.scheme(1), 2, g1) == {(2, 0, 0), (1, 1, 0), (0, 2, 0)}
+    assert gin_degree(star, 2, g1) == {(2, 0, 0), (1, 1, 0), (0, 2, 0)}
 
 
 def test_gin_degree_matches_two_step_description():
     g = random_invertible_matrix(SeededRng(21), 3, 100)
     star = build_star(2, 3)
     for m, dmax in [(1, 3), (2, 5)]:
-        sch = star.scheme(m)
+        sch = star.with_multiplicity(m)
         for d in range(dmax + 1):
             assert gin_degree(sch, d, g) == two_step_gin_degree(sch, d, g)
 
@@ -119,7 +119,7 @@ def test_gin_degree_matches_two_step_description():
 def test_engine_slices_match_one_shot_gin_degree(star_gin):
     res = star_gin(2, 3, 2)
     g = coordinate_change_for(res)
-    sch = build_star(2, 3).scheme(2)
+    sch = build_star(2, 3).with_multiplicity(2)
     for d in range(res.stop_degree + 1):
         slice_d = {
             u
@@ -132,7 +132,7 @@ def test_engine_slices_match_one_shot_gin_degree(star_gin):
 def test_no_generators_after_stop_degree(star_gin):
     for n, s, m in [(2, 3, 1), (2, 3, 2), (2, 4, 1), (3, 4, 1)]:
         res = star_gin(n, s, m)
-        sch = build_star(n, s).scheme(m)
+        sch = build_star(n, s).with_multiplicity(m)
         g = coordinate_change_for(res)
         beyond = gin_degree(sch, res.stop_degree + 1, g)
         assert all(res.min_generators.contains(u) for u in beyond)
@@ -146,7 +146,7 @@ def test_structural_invariants(star_gin):
         assert res.colength == comb(s, n) * comb(n + m - 1, n)
         for d, dim_d, q in res.hf_table:
             assert res.min_generators.hilbert_function(d) == q
-            assert dim_d == hf_symbolic(build_star(n, s).scheme(m), d)
+            assert dim_d == hf_symbolic(build_star(n, s).with_multiplicity(m), d)
             assert dim_d + q == comb(d + n, n)
 
 
@@ -191,14 +191,14 @@ def test_star34_generators_forced_by_cardinality(star_gin):
 
 def test_pivot_count_equals_hf(star_gin):
     res = star_gin(2, 3, 2)
-    sch = build_star(2, 3).scheme(2)
+    sch = build_star(2, 3).with_multiplicity(2)
     g = coordinate_change_for(res)
     for d in range(res.stop_degree + 1):
         assert len(gin_degree(sch, d, g)) == hf_symbolic(sch, d)
 
 
 def test_seed_independence():
-    sch = build_star(2, 3).scheme(2)
+    sch = build_star(2, 3).with_multiplicity(2)
     a = compute_gin(sch, seed=101)
     b = compute_gin(sch, seed=202)
     assert a.seeds_used != b.seeds_used
@@ -207,15 +207,15 @@ def test_seed_independence():
 
 def test_mode_independence():
     for n, s, m in [(2, 3, 1), (2, 3, 2), (2, 4, 1), (3, 4, 1)]:
-        vand = compute_gin(build_star(n, s).scheme(m), seed=3)
+        vand = compute_gin(build_star(n, s).with_multiplicity(m), seed=3)
         seeded = compute_gin(
-            build_star(n, s, mode="seeded", seed=17).scheme(m), seed=3
+            build_star(n, s, mode="seeded", seed=17).with_multiplicity(m), seed=3
         )
         assert same_math(vand, seeded)
 
 
 def test_determinism_bit_identical():
-    sch = build_star(2, 4).scheme(2)
+    sch = build_star(2, 4).with_multiplicity(2)
     a = compute_gin(sch, seed=9)
     b = compute_gin(sch, seed=9)
     assert a == b
@@ -234,7 +234,7 @@ def test_json_roundtrip(star_gin):
 def test_memory_cache_hits(monkeypatch):
     # The store keeps the document's bytes, so a hit passes the same gate
     # as a file hit and is an equal result, not the stored object.
-    sch = build_star(2, 3).scheme(1)
+    sch = build_star(2, 3)
     cache = GinCache()
     a = compute_gin(sch, seed=1, cache=cache)
     assert cache.get(cache_key(sch, 1)) == gin._document(a)
@@ -247,7 +247,7 @@ def test_memory_cache_hits(monkeypatch):
 
 
 def test_file_cache_roundtrip(tmp_path):
-    sch = build_star(2, 3).scheme(2)
+    sch = build_star(2, 3).with_multiplicity(2)
     cache = FileGinCache(str(tmp_path))
     a = compute_gin(sch, seed=1, cache=cache)
     fresh = FileGinCache(str(tmp_path))
@@ -259,8 +259,8 @@ def test_file_cache_roundtrip(tmp_path):
 
 
 def test_cache_key_distinguishes_inputs():
-    s1 = build_star(2, 3).scheme(1)
-    s2 = build_star(2, 3).scheme(2)
+    s1 = build_star(2, 3)
+    s2 = build_star(2, 3).with_multiplicity(2)
     assert cache_key(s1, 1) != cache_key(s2, 1)
     assert cache_key(s1, 1) != cache_key(s1, 2)
 
@@ -275,10 +275,10 @@ def test_cache_keys_and_star_points_are_pinned():
     assert build_star(2, 3, mode="seeded", seed=12, bound=3).points == (
         (Fraction(2, 3), 1, 0), (-3, -3, 1), (1, 0, 0)
     )
-    assert cache_key(build_star(2, 3).scheme(2), 0) == (
+    assert cache_key(build_star(2, 3).with_multiplicity(2), 0) == (
         "6b34482fcf76549d77e586a9d9a09f8bfac7a2375b689e2aaf1785b7928eab31"
     )
-    assert cache_key(build_star(3, 5).scheme(1), 0) == (
+    assert cache_key(build_star(3, 5), 0) == (
         "fe982b31ec74c1b0b52c65a2e4b1ff41f466825dc3ea89af45e9f8221fd67413"
     )
     stars = {
@@ -292,7 +292,7 @@ def test_cache_keys_and_star_points_are_pinned():
             build_star(3, 4, mode="seeded", seed=11, bound=50),
     }
     for digest, star in stars.items():
-        assert cache_key(star.scheme(1), 0) == digest
+        assert cache_key(star, 0) == digest
 
 
 def test_close_points_still_compute_exactly():
@@ -316,7 +316,7 @@ def test_unsaturated_input_is_rejected_loudly(monkeypatch):
 
     monkeypatch.setattr(gin, "_run_pair", fails)
     with pytest.raises(GenericityError, match="after 3 attempts") as info:
-        compute_gin(build_star(2, 3).scheme(1), seed=1)
+        compute_gin(build_star(2, 3), seed=1)
     assert str(info.value).count("draw refused") == gin.GIN_DRAWS == 3
 
 
@@ -398,7 +398,7 @@ def test_last_generator_degree_of_a_star_power_needs_no_lift(proofs):
 def test_star_power_with_its_hyperplanes_needs_no_lift(proofs):
     # The same power as a star: products of its four lines prove the rank
     # of degree 7, so neither degree lifts a vector.
-    res = compute_gin(build_star(2, 4).scheme(3), seed=2)
+    res = compute_gin(build_star(2, 4).with_multiplicity(3), seed=2)
     assert sorted({sum(g) for g in res.min_generators.generators}) == [7, 9]
     assert proofs == [(36, 36, 4, []), (36, 40, 4, [])]
 
@@ -410,7 +410,7 @@ def test_hyperplanes_prove_the_same_result_without_lifts(lift_calls, n, s, m, mo
     # A star's hyperplanes only replace lifted certificates: the same
     # document, seed pair included, comes out with and without them.
     star = build_star(n, s, mode, seed=seed)
-    with_planes = compute_gin(star.scheme(m), seed=seed)
+    with_planes = compute_gin(star.with_multiplicity(m), seed=seed)
     assert lift_calls == []
     points_only = compute_gin(FatPointScheme(n, star.points, m), seed=seed)
     assert lift_calls
@@ -430,7 +430,7 @@ def test_benchmark_star_powers_run_no_dixon_solve(monkeypatch):
     monkeypatch.setattr(linalg, "_dixon_solve", spy)
     for n, s, m_max in [(2, 4, 6), (2, 5, 4)]:
         for m in range(1, m_max + 1):
-            compute_gin(build_star(n, s).scheme(m), seed=gin_seed(0))
+            compute_gin(build_star(n, s).with_multiplicity(m), seed=gin_seed(0))
     assert calls == []
 
 
@@ -440,7 +440,7 @@ def test_hyperplane_moved_off_its_points_falls_back(proofs):
     # fall short in degree 7, which lifts its dual vectors as without
     # hyperplanes, and the result stays.
     star = build_star(2, 4)
-    sch = star.scheme(3)
+    sch = star.with_multiplicity(3)
     h = star.hyperplanes[0]
     moved = (h[0] + 1,) + h[1:]
     on_h = [p for p in sch.int_points if not sum(map(mul, h, p))]
@@ -452,7 +452,7 @@ def test_hyperplane_moved_off_its_points_falls_back(proofs):
 
 def test_star_missing_a_hyperplane_falls_back(proofs):
     star = build_star(2, 4)
-    sch = star.scheme(3)
+    sch = star.with_multiplicity(3)
     res = compute_gin(replace(sch, hyperplanes=star.hyperplanes[1:]), seed=2)
     assert proofs == [(36, 36, 4, [("rows", 4)]), (36, 40, 4, [])]
     assert result_to_json(res) == result_to_json(compute_gin(sch, seed=2))
@@ -464,7 +464,7 @@ def test_product_bound_below_the_rank_mod_p_is_refused(monkeypatch):
     # refused, and none is accepted.
     monkeypatch.setattr(gin._StarProducts, "rank", lambda self, e, count: count + 1)
     with pytest.raises(GenericityError) as info:
-        compute_gin(build_star(2, 4).scheme(3), seed=2)
+        compute_gin(build_star(2, 4).with_multiplicity(3), seed=2)
     assert str(info.value).count("fail the proof over Q") == 3
 
 
@@ -489,7 +489,7 @@ def test_minimal_exponents_match_a_brute_force_search(case):
 def test_generator_degrees_are_certified_without_q_elimination():
     # Every degree of the certified result, not only the proved ones, is
     # the slice an exact elimination over Q finds.
-    sch = build_star(2, 4).scheme(3)
+    sch = build_star(2, 4).with_multiplicity(3)
     res = compute_gin(sch, seed=2)
     g = coordinate_change_for(res)
     for d in range(res.stop_degree + 1):
@@ -515,7 +515,7 @@ def test_proofs_run_only_in_the_generator_degrees(monkeypatch):
 
     monkeypatch.setattr(gin, "_condition_rows", rows_spy)
     monkeypatch.setattr(gin, "certified_free_columns", settle_spy)
-    sch = build_star(2, 4).scheme(3)
+    sch = build_star(2, 4).with_multiplicity(3)
     res = compute_gin(sch, seed=2)
     assert sorted({sum(g) for g in res.min_generators.generators}) == [7, 9]
     assert rows_at == [7, 8, 8, 7, 9]
@@ -526,7 +526,7 @@ def test_proofs_run_only_in_the_generator_degrees(monkeypatch):
 def test_failed_certificate_redraws(monkeypatch):
     # A certificate that fails is a failed draw: compute_gin moves on to
     # the next seed pair and proves the same ideal there.
-    sch = build_star(2, 4).scheme(3)
+    sch = build_star(2, 4).with_multiplicity(3)
     clean = compute_gin(sch, seed=2)
     certify, calls = gin.certified_free_columns, []
 
@@ -543,7 +543,7 @@ def test_failed_certificate_redraws(monkeypatch):
 def test_certificate_failing_every_draw_is_reported(monkeypatch):
     monkeypatch.setattr(gin, "certified_free_columns", lambda rows, ncols, rank_bound: None)
     with pytest.raises(GenericityError) as info:
-        compute_gin(build_star(2, 4).scheme(3), seed=2)
+        compute_gin(build_star(2, 4).with_multiplicity(3), seed=2)
     assert str(info.value).count("fail the proof over Q") == 3
 
 
@@ -553,7 +553,7 @@ def test_candidate_missing_a_generator_fails_the_proof(monkeypatch):
     # x1^2 x2 instead, as a prime dividing a deciding minor could: the rank
     # and the witness agree, but the candidate lacks the generator x1^3,
     # and the proof over Q in degree 3 refuses it.
-    sch = build_star(2, 3).scheme(2)
+    sch = build_star(2, 3).with_multiplicity(2)
     clean = compute_gin(sch, seed=1)
     mod_p = gin.free_columns_mod_p
 
@@ -570,7 +570,7 @@ def test_candidate_missing_a_generator_fails_the_proof(monkeypatch):
 
 
 def test_witness_mismatch_raises_and_compute_gin_redraws(monkeypatch):
-    sch = build_star(2, 3).scheme(2)
+    sch = build_star(2, 3).with_multiplicity(2)
     clean = compute_gin(sch, seed=1)
     mod_p, run_pair = gin.free_columns_mod_p, gin._run_pair
     profiles, pairs = [], []
@@ -627,14 +627,14 @@ FIRST_PAIRS = {
 @pytest.mark.parametrize("n, s, m", CHEAP_POWERS,
                          ids=[f"star-{n}-{s}-{m}" for n, s, m in CHEAP_POWERS])
 def test_cheap_powers_keep_their_seed_pairs(gin_cache, n, s, m, seed):
-    res = compute_gin(build_star(n, s).scheme(m), seed=seed, cache=gin_cache)
+    res = compute_gin(build_star(n, s).with_multiplicity(m), seed=seed, cache=gin_cache)
     assert res.seeds_used == FIRST_PAIRS[seed]
 
 
 SMALL_SCHEMES = [
-    build_star(2, 3).scheme(2),
-    build_star(2, 4).scheme(2),
-    build_star(3, 4).scheme(1),
+    build_star(2, 3).with_multiplicity(2),
+    build_star(2, 4).with_multiplicity(2),
+    build_star(3, 4),
     FatPointScheme(2, tuple((Fraction(t * t), Fraction(t), Fraction(1)) for t in range(1, 7)), 2),
 ]
 
@@ -712,7 +712,7 @@ DAMAGES = {
 
 @pytest.mark.parametrize("case", DAMAGES)
 def test_broken_cache_file_is_a_miss_and_gets_rewritten(tmp_path, case):
-    sch = build_star(2, 3).scheme(2)
+    sch = build_star(2, 3).with_multiplicity(2)
     good = compute_gin(sch, seed=1, cache=FileGinCache(str(tmp_path)))
     (path,) = tmp_path.glob("*.json")
     intact = path.read_bytes()
@@ -731,7 +731,7 @@ def test_cache_read_is_bounded_by_the_request(tmp_path, monkeypatch):
     # above 9.  A canonical document for (x^100, y^100) is a miss before
     # its Hilbert function, whose cost grows with the pure powers, is
     # derived.
-    sch = build_star(2, 3).scheme(2)
+    sch = build_star(2, 3).with_multiplicity(2)
     good = compute_gin(sch, seed=1)
     forged = replace(good, min_generators=MonomialIdeal(3, [(100, 0, 0), (0, 100, 0)]))
     path = tmp_path / f"{cache_key(sch, 1)}.json"
@@ -755,7 +755,7 @@ def test_cache_read_bounds_the_generator_count(tmp_path, monkeypatch):
     # 2 * 9 = 18 minimal generators.  The 55 degree-9 monomials pass the
     # degree bound, but the document is a miss before minimalize, quadratic
     # in their number, runs.
-    sch = build_star(2, 3).scheme(2)
+    sch = build_star(2, 3).with_multiplicity(2)
     good = compute_gin(sch, seed=1)
     gens = [list(u) for u in monomials_of_degree(3, 9)]
     assert max(map(sum, gens)) <= sch.fat_point_degree() < len(gens) / 2
@@ -779,7 +779,7 @@ def test_cache_entry_that_cannot_be_read_or_written(tmp_path):
     # A directory at the entry's path: reading it is a miss, and writing
     # over it, when the recomputed result is stored, is an error that names
     # the entry and leaves no temporary file.
-    sch = build_star(2, 3).scheme(2)
+    sch = build_star(2, 3).with_multiplicity(2)
     key = cache_key(sch, 1)
     (tmp_path / f"{key}.json").mkdir()
     cache = FileGinCache(str(tmp_path))
@@ -794,14 +794,14 @@ def test_search_that_never_reaches_the_length_is_reported(monkeypatch):
     # degree up to the cap, under every seed pair.
     monkeypatch.setattr(gin, "free_columns_mod_p", lambda rows, ncols: list(range(ncols)))
     with pytest.raises(GenericityError) as info:
-        compute_gin(build_star(2, 3).scheme(1), seed=2)
+        compute_gin(build_star(2, 3), seed=2)
     assert str(info.value).count("failed to stabilize by degree 10") == 3
 
 
 def test_validate_refuses_another_power(star_gin):
     # star(2,3) m=2 has colength 9; the m=3 scheme has length 18.
     with pytest.raises(GenericityError, match="colength 9 != expected 18"):
-        gin._validate(star_gin(2, 3, 2), build_star(2, 3).scheme(3))
+        gin._validate(star_gin(2, 3, 2), build_star(2, 3).with_multiplicity(3))
 
 
 def test_t_vector_needs_every_pure_power():

@@ -14,15 +14,15 @@ def F(a, b=1):
 
 def test_alpha_examples():
     star23 = build_star(2, 3)
-    assert alpha(star23.scheme(1)) == 2
-    assert alpha(star23.scheme(2)) == 3
-    assert alpha(build_star(2, 4).scheme(2)) == 4
+    assert alpha(star23) == 2
+    assert alpha(star23.with_multiplicity(2)) == 3
+    assert alpha(build_star(2, 4).with_multiplicity(2)) == 4
 
 
 def test_alpha_matches_first_axis_pure_power(star_gin):
     for n, s, m in [(2, 3, 1), (2, 3, 2), (2, 4, 2), (3, 4, 2)]:
         res = star_gin(n, s, m)
-        assert alpha(build_star(n, s).scheme(m)) == res.t_vector()[0] == res.alpha()
+        assert alpha(build_star(n, s).with_multiplicity(m)) == res.t_vector()[0] == res.alpha()
 
 
 def alpha_ratios(report):
@@ -30,14 +30,14 @@ def alpha_ratios(report):
 
 
 def test_waldschmidt_estimate_star23(gin_cache):
-    report = custom_report(build_star(2, 3).scheme(1), 2, cache=gin_cache)
+    report = custom_report(build_star(2, 3), 2, cache=gin_cache)
     assert alpha_ratios(report) == [F(2), F(3, 2)]
     assert report.waldschmidt_min == F(3, 2)  # equals s/n
 
 
 def test_waldschmidt_star_equality_at_multiples_of_n(gin_cache):
     for n, s, m_max in [(2, 3, 4), (2, 4, 4)]:
-        report = custom_report(build_star(n, s).scheme(1), m_max, cache=gin_cache)
+        report = custom_report(build_star(n, s), m_max, cache=gin_cache)
         target = F(s, n)
         assert report.waldschmidt_min == target
         for m, r in enumerate(alpha_ratios(report), start=1):
@@ -65,7 +65,7 @@ def test_asreg_estimate_values(star_gin, gin_cache, conic_scheme):
     def reg_ratios(report):
         return [F(r.regularity(), r.m) for r in report.results]
 
-    star = custom_report(build_star(2, 3).scheme(1), 3, cache=gin_cache)
+    star = custom_report(build_star(2, 3), 3, cache=gin_cache)
     assert reg_ratios(star) == [F(2), F(2), F(2)]
     assert star.asreg_estimate == 2  # s - n + 1
     assert star_gin(3, 4, 1).regularity() == 2  # x3^2 generator
@@ -152,7 +152,7 @@ def test_custom_report_conic(gin_cache, conic_scheme):
 
 
 def test_report_is_frozen(gin_cache):
-    report = custom_report(build_star(2, 3).scheme(1), 1, cache=gin_cache)
+    report = custom_report(build_star(2, 3), 1, cache=gin_cache)
     with pytest.raises(FrozenInstanceError):
         report.s = 3
 

@@ -294,7 +294,7 @@ def test_star_3_5_with_its_hyperplanes_lifts_nothing(proofs):
     # The same power as a star: products of its five planes prove the rank
     # of the first two degrees, whose free columns all lie below every
     # pivot, so no degree lifts a vector.
-    compute_gin(build_star(3, 5).scheme(3), seed=0)
+    compute_gin(build_star(3, 5).with_multiplicity(3), seed=0)
     assert proofs == [(100, 56, 1, []), (100, 110, 20, []), (100, 110, 10, [])]
 
 

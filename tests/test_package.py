@@ -1,14 +1,19 @@
 """The package holds only what it uses: every function, class and method in
 src/starshape is referenced by code somewhere in the package, or exported.
 Tests and docstrings do not count as uses; test-only helpers live in
-tests/oracles.py."""
+tests/oracles.py.  README's library example runs as written."""
 
 import ast
+import io
+import re
+import tokenize
+from fractions import Fraction
 from pathlib import Path
 
 import starshape
 
 SRC = Path(starshape.__file__).resolve().parent
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def definitions(tree):
@@ -45,3 +50,24 @@ def test_every_export_resolves_once():
     names = starshape.__all__
     assert len(names) == len(set(names))
     assert [name for name in names if not hasattr(starshape, name)] == []
+
+
+def test_readme_library_example_gives_its_commented_values():
+    # Each statement runs in order; an expression statement's trailing
+    # comment is the value it must have.
+    section = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    comments = {tok.start[0]: tok.string[1:]
+                for tok in tokenize.generate_tokens(io.StringIO(code).readline)
+                if tok.type == tokenize.COMMENT}
+    namespace = {}
+    checked = 0
+    for stmt in ast.parse(code).body:
+        if isinstance(stmt, ast.Expr):
+            value = eval(compile(ast.Expression(stmt.value), "README", "eval"), namespace)
+            assert value == eval(comments[stmt.lineno], {"Fraction": Fraction}), (
+                ast.unparse(stmt))
+            checked += 1
+        else:
+            exec(compile(ast.Module([stmt], []), "README", "exec"), namespace)
+    assert checked == 3

@@ -24,6 +24,7 @@ from starshape.scheme import (
     FatPointScheme,
     _condition_rows,
     _kernel_vector,
+    _points_from_hyperplanes,
     build_star,
     load_points,
     normalize_point,
@@ -190,11 +191,20 @@ def test_build_star_validity_invariants():
             assert on == 2
 
 
+def test_concurrent_hyperplanes_give_no_points():
+    # Three lines through (0:0:1) meet pairwise in one point.  The check is
+    # build_star's own, so a seeded draw redraws instead of failing in
+    # FatPointScheme.
+    assert _points_from_hyperplanes(2, [(1, 0, 0), (0, 1, 0), (1, 1, 0)]) is None
+
+
 def test_build_star_is_deterministic():
+    # Scheme equality ignores the hyperplanes, so they are compared apart.
     a = build_star(2, 5, mode="seeded", seed=99)
     b = build_star(2, 5, mode="seeded", seed=99)
-    assert a == b
-    assert build_star(3, 4) == build_star(3, 4)
+    assert a == b and a.hyperplanes == b.hyperplanes
+    c, d = build_star(3, 4), build_star(3, 4)
+    assert c == d and c.hyperplanes == d.hyperplanes
 
 
 def test_build_star_rejects_bad_input():
@@ -206,13 +216,13 @@ def test_build_star_rejects_bad_input():
 
 def test_hf_symbolic_star23_examples():
     star = build_star(2, 3)
-    assert hf_symbolic(star.scheme(1), 1) == 0  # no line through 3 general points
-    assert hf_symbolic(star.scheme(2), 3) == 1  # only the triple product
-    assert hf_symbolic(star.scheme(1), 2) == 3
+    assert hf_symbolic(star, 1) == 0  # no line through 3 general points
+    assert hf_symbolic(star.with_multiplicity(2), 3) == 1  # only the triple product
+    assert hf_symbolic(star, 2) == 3
 
 
 def test_hf_symbolic_zero_below_multiplicity():
-    sch = build_star(2, 3).scheme(4)
+    sch = build_star(2, 3).with_multiplicity(4)
     assert [hf_symbolic(sch, d) for d in range(4)] == [0, 0, 0, 0]
 
 
@@ -234,7 +244,7 @@ def expand_product(hyperplanes):
 
 def test_symbolic_basis_is_the_hyperplane_product():
     star = build_star(2, 3)
-    basis = symbolic_basis(star.scheme(2), 3)
+    basis = symbolic_basis(star.with_multiplicity(2), 3)
     assert len(basis) == 1
     v = basis[0]
     w = expand_product(star.hyperplanes)
@@ -246,7 +256,7 @@ def test_symbolic_basis_is_the_hyperplane_product():
 
 def test_symbolic_basis_empty_cases():
     star = build_star(2, 3)
-    assert symbolic_basis(star.scheme(1), 1) == []
+    assert symbolic_basis(star, 1) == []
     # more independent conditions than monomials (no 3 of these collinear)
     many = FatPointScheme(
         2, tuple(point(t * t, t, 1) for t in range(1, 6)), 1
@@ -256,7 +266,7 @@ def test_symbolic_basis_empty_cases():
 
 def test_hf_stabilizes_at_fat_point_degree():
     for n, s, m in [(2, 3, 2), (2, 4, 1), (3, 4, 2)]:
-        sch = build_star(n, s).scheme(m)
+        sch = build_star(n, s).with_multiplicity(m)
         expected = sch.fat_point_degree()
         quotient = []
         d = 0
@@ -286,7 +296,7 @@ def test_simple_points_independent_in_high_degree():
 
 def test_transform_preserves_hf():
     star = build_star(2, 3)
-    sch = star.scheme(2)
+    sch = star.with_multiplicity(2)
     g = random_invertible_matrix(SeededRng(3), 3, 50)
     moved = transform_scheme(sch, g)
     for d in range(5):
@@ -306,7 +316,7 @@ def test_load_points_conic_and_errors(tmp_path):
     )
     sch = load_points(good)
     assert sch.dim == 2 and len(sch.points) == 6 and sch.multiplicity == 1
-    assert sch.hyperplanes is None
+    assert sch.hyperplanes == ()
 
     dup = tmp_path / "dup.json"
     dup.write_text(
@@ -373,12 +383,15 @@ def test_fat_point_scheme_rejects_bad_arguments(dim, points, multiplicity, messa
 
 
 def test_star_schemes_carry_their_hyperplanes_outside_equality():
-    # The hyperplanes ride along as a proof hint: equality, hashing and
-    # the cache key see only the points and the multiplicity.
+    # A star is its multiplicity-1 scheme, with its s hyperplanes.  They
+    # ride along as a proof hint: equality, hashing and the cache key see
+    # only the points and the multiplicity; loaded schemes carry none.
     star = build_star(2, 4)
-    sch = star.scheme(3)
+    assert isinstance(star, FatPointScheme) and star.multiplicity == 1
+    assert star == FatPointScheme(2, star.points, 1) and len(star.hyperplanes) == 4
+    sch = star.with_multiplicity(3)
     bare = FatPointScheme(2, star.points, 3)
-    assert sch.hyperplanes == star.hyperplanes and bare.hyperplanes is None
+    assert sch.hyperplanes == star.hyperplanes and bare.hyperplanes == ()
     assert sch.with_multiplicity(5).hyperplanes == star.hyperplanes
     assert sch == bare and hash(sch) == hash(bare)
     assert cache_key(sch, 0) == cache_key(bare, 0)

@@ -6,6 +6,9 @@ import sys
 import pytest
 
 from starshape.cli import main
+from starshape.gin import cache_key
+from starshape.invariants import gin_seed
+from starshape.scheme import build_star
 
 SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
 
@@ -31,11 +34,25 @@ def test_script_runs_at_small_sizes(name, args, tmp_path, monkeypatch):
 
 
 def test_reproduce_tables_exits_1_when_a_run_fails(tmp_path):
-    not_a_dir = tmp_path / "file"
-    not_a_dir.write_text("")
-    done = run_script("reproduce_tables.py", "--m-max-2", "2", "--cache", str(not_a_dir))
+    # A directory where star(2,3) m=1's cache entry goes makes the first
+    # run's cache write fail.
+    entry = tmp_path / "cache" / (cache_key(build_star(2, 3), gin_seed(0)) + ".json")
+    entry.mkdir(parents=True)
+    done = run_script("reproduce_tables.py", "--m-max-2", "2", "--cache", str(tmp_path / "cache"))
     assert done.returncode == 1
-    assert "is not a directory" in done.stderr
+    assert "cannot write cache entry" in done.stderr
+
+
+@pytest.mark.parametrize("below", ["", "sub"], ids=["a-file", "below-a-file"])
+def test_reproduce_tables_rejects_a_cache_path_at_a_file_before_any_work(tmp_path, below):
+    # The same check as the CLI's: no run starts when no cache directory
+    # can be made at the path.
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    done = run_script("reproduce_tables.py", "--m-max-2", "2", "--cache", str(blocker / below))
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert f"{blocker} is not a directory" in done.stderr
 
 
 def test_reproduce_tables_json_combines_the_verify_documents(tmp_path):
