@@ -26,12 +26,15 @@ A star's hyperplanes make most certificates free.  Products of them that
 vanish to order m at every point lie in I^(m), so in a degree e with N
 monomials, N - rank_p(products) bounds the rank over Q of the conditions
 A_sub on any column subset sub from above (_StarProducts, passed as the
-rank bound).  The proof:
-  - rank_Q(A_sub) <= rank_Q(A_full) = N - dim I_e;
+rank bound).  The products are taken in the scheme's own coordinates,
+since the bound measures only dim I_e: a change g1 maps I^(m)_e onto the
+degree-e piece of the moved ideal, and each span prod h_i^a_i * R_(e-|a|)
+onto that of the moved products.  The proof:
+  - rank_Q(A_sub) <= rank_Q(A_full) = N - dim I_e, in any coordinates;
   - vectors independent mod p are independent over Q, so dim I_e >=
     rank_p(products), and their values at points mod p have no larger rank;
-  - a product vanishes at z to order sum(a_i : h_i(z) = 0), and each
-    incidence is checked exactly in integers.
+  - a product vanishes at a point p to order sum(a_i : h_i(p) = 0), and
+    each incidence is checked exactly in integers.
 Where that bound equals the rank mod p, no dual certificate is lifted.
 Without hyperplanes (custom schemes), or when the products fall short,
 the certificates run as they would.
@@ -73,7 +76,6 @@ from .errors import GenericityError, StarshapeError
 from .linalg import (
     MODULUS,
     certified_free_columns,
-    determinant,
     format_rational,
     free_columns_mod_p,
     pivot_profile_mod_p,
@@ -211,29 +213,26 @@ def _minimal_exponents(through: list[list[int]], s: int, m: int) -> list[tuple[i
 
 
 class _StarProducts:
-    """Products of a star's hyperplanes that lie in the symbolic power after
-    the change g1, for proving rank bounds (_run_pair, step 4).
+    """Products of a star's hyperplanes that lie in its symbolic power, in
+    the scheme's own coordinates, for proving rank bounds (_run_pair, step 4).
 
-    A hyperplane h through a point p moves to h' = h adj(g1), since
-    h' (g1 p) = det(g1) h(p).  A product of the h'_i ** a_i vanishes at a
-    moved point z to order sum(a_i : h'_i(z) = 0), each incidence checked
-    exactly in integers, so it lies in I^(m) when that sum is at least m at
-    every point; the minimal such a are the candidates.  Nothing depends on
-    whether these products generate I^(m): fewer only weaken the bound.
+    A product of the h_i ** a_i vanishes at a point p to order
+    sum(a_i : h_i(p) = 0), each incidence checked exactly in integers, so
+    it lies in I^(m) when that sum is at least m at every point; the
+    minimal such a are the candidates.  Nothing depends on whether these
+    products generate I^(m): fewer only weaken the bound.
     """
 
-    def __init__(self, planes, g1, z1, m: int, rng: SeededRng) -> None:
-        self.k, self.z1, self.m, self.rng = len(g1), z1, m, rng
-        # (h adj(g1))_j is the determinant of g1 with row j replaced by h.
-        self.moved = [[determinant(g1[:j] + [list(h)] + g1[j + 1:]) for j in range(self.k)]
-                      for h in planes]
+    def __init__(self, sch: FatPointScheme, rng: SeededRng) -> None:
+        self.sch, self.rng = sch, rng
         self.points: list[list[int]] = []
 
     @cached_property
     def exponents(self) -> list[tuple[int, ...]]:
-        through = [[i for i, h in enumerate(self.moved) if not sum(map(mul, h, z))]
-                   for z in self.z1]
-        return _minimal_exponents(through, len(self.moved), self.m)
+        planes = self.sch.hyperplanes
+        through = [[i for i, h in enumerate(planes) if not sum(map(mul, h, p))]
+                   for p in self.sch.int_points]
+        return _minimal_exponents(through, len(planes), self.sch.multiplicity)
 
     def rank(self, e: int, count: int) -> int:
         """A lower bound on dim I_e, at most count: the rank mod p of the
@@ -242,11 +241,11 @@ class _StarProducts:
         coefficient vectors mod p times the monomials' values, so their
         rank is at most the coefficients' rank mod p, itself at most their
         rank over Q."""
-        p, k = MODULUS, self.k
+        p, k = MODULUS, self.sch.dim + 1
         while len(self.points) < count:
             self.points.append([self.rng.next_below(p) for _ in range(k)])
         qs = self.points[:count]
-        plane_values = [[sum(map(mul, h, q)) % p for q in qs] for h in self.moved]
+        plane_values = [[sum(map(mul, h, q)) % p for q in qs] for h in self.sch.hyperplanes]
         monomial_values: dict[tuple[int, ...], list[int]] = {}
         rows = []
         for a in self.exponents:
@@ -290,10 +289,9 @@ def _run_pair(
        J is in in(I).  A certificate that fails fails this step.  For a
        star the proof gets N - rank_p(products) as an upper bound on the
        rank over Q, N the degree-e monomials, from the products of its
-       hyperplanes moved by g1 (proved in the module docstring).  The
-       products are built only when the proof would otherwise lift dual
-       certificates, and evaluated at dim J_e points, the count that lets
-       the bound meet the rank.
+       hyperplanes (proved in the module docstring).  They are built only
+       when the proof would otherwise lift dual certificates, and evaluated
+       at dim J_e points, the count that lets the bound meet the rank.
        (Below degree m-1 the rows vanish and every column is free, x_k^e
        among them, so a generator there fails this check; in degree 0 it
        is the unit ideal, which fails the colength check below.)
@@ -337,8 +335,8 @@ def _run_pair(
         + [u + (0,) for u in monomials_of_degree(n, d + 1)],
     )
     gens = candidate.generators
-    # The products' evaluation points come from a substream of g1's seed.
-    products = (_StarProducts(sch.hyperplanes, g1, z1, m, SeededRng(seeds[0]).derive(1))
+    # The products' evaluation points come from a substream of the first seed.
+    products = (_StarProducts(sch, SeededRng(seeds[0]).derive(1))
                 if sch.hyperplanes else None)
     for e in sorted({sum(g) for g in gens}):
         lower = [g for g in gens if sum(g) < e]

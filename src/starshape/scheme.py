@@ -53,11 +53,11 @@ def normalize_point(coords: Sequence[Fraction]) -> Coords:
 class FatPointScheme:
     """Distinct points of P^dim, all carrying the same multiplicity.
 
-    A star's scheme also carries its hyperplanes, as integer coefficient
-    rows (its s is their count; other schemes carry none).  They are a
-    hint for the proof in compute_gin, not part of the scheme: equality,
-    the cache key and result documents ignore them, and every incidence
-    they are used for is checked exactly.
+    A star's scheme also carries its hyperplanes, as nonzero rows of int
+    coefficients (its s is their count; other schemes carry none).  They
+    are a hint for the proof in compute_gin, not part of the scheme:
+    equality, the cache key and result documents ignore them, and every
+    incidence they are used for is checked exactly.
     """
 
     dim: int
@@ -86,8 +86,11 @@ class FatPointScheme:
             if p in seen:
                 raise SchemeFormatError(f"points {seen[p]} and {idx} coincide")
             seen[p] = idx
-        if any(len(h) != self.dim + 1 for h in self.hyperplanes):
-            raise SchemeFormatError(f"hyperplanes need {self.dim + 1} coefficients")
+        # Not isinstance: bools are ints.  compute_gin decides incidences on these rows.
+        if any(len(h) != self.dim + 1 or any(type(c) is not int for c in h) or not any(h)
+               for h in self.hyperplanes):
+            raise SchemeFormatError(
+                f"hyperplanes need {self.dim + 1} coefficients, integers not all zero")
 
     def with_multiplicity(self, m: int) -> "FatPointScheme":
         return FatPointScheme(self.dim, self.points, m, self.hyperplanes)

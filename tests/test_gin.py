@@ -469,6 +469,35 @@ def test_product_bound_below_the_rank_mod_p_is_refused(monkeypatch):
 
 
 @settings(max_examples=100, deadline=None)
+@given(st.sampled_from([(n, s, m) for n in (2, 3) for s in range(n, n + 4) for m in (1, 2, 3)
+                        if comb(s, n) * comb(n + m - 1, n) <= 100]),
+       st.sampled_from(["vandermonde", "seeded"]), st.integers(0, 2**16),
+       st.integers(3, 6), st.data())
+def test_product_rank_bounds_the_symbolic_power_from_below(star, mode, seed, bound, data):
+    # The proof rests on rank(e, count) <= dim I_e, with I_e taken in the
+    # scheme's own coordinates.  Stars of length above 100 (star(3,6)
+    # m=3) and seeded coefficients beyond [-6, 6] are left out: their
+    # exact elimination takes seconds per degree.
+    n, s, m = star
+    sch = build_star(n, s, mode, seed=seed, bound=bound).with_multiplicity(m)
+    e = data.draw(st.integers(m - 1, m * (s - n + 1) + 1))
+    products = gin._StarProducts(sch, SeededRng(seed).derive(1))
+    assert products.rank(e, monomial.dimension_of_degree(n + 1, e)) <= hf_symbolic(sch, e)
+
+
+@pytest.mark.parametrize("mode", ["vandermonde", "seeded"])
+@pytest.mark.parametrize("n, s, m", [(2, 4, 3), (3, 5, 2)])
+def test_product_rank_is_the_dimension_of_the_symbolic_power(n, s, m, mode):
+    # With as many points as monomials the products' rank meets dim I_e in
+    # every degree, so their span is all of I_e there.
+    sch = build_star(n, s, mode, seed=3).with_multiplicity(m)
+    products = gin._StarProducts(sch, SeededRng(2).derive(1))
+    degrees = range(m - 1, m * (s - n + 1) + 2)
+    ranks = [products.rank(e, monomial.dimension_of_degree(n + 1, e)) for e in degrees]
+    assert ranks == [hf_symbolic(sch, e) for e in degrees] and ranks[-1] > 0
+
+
+@settings(max_examples=100, deadline=None)
 @given(st.integers(1, 5).flatmap(lambda s: st.tuples(
     st.just(s), st.integers(1, 4),
     st.lists(st.sets(st.integers(0, s - 1), min_size=1).map(sorted), min_size=1, max_size=6))))

@@ -1,16 +1,19 @@
 """The package holds only what it uses: every function, class and method in
 src/starshape is referenced by code somewhere in the package, or exported.
 Tests and docstrings do not count as uses; test-only helpers live in
-tests/oracles.py.  README's library example runs as written."""
+tests/oracles.py.  README's library example and command lines run as
+written."""
 
 import ast
 import io
 import re
+import shlex
 import tokenize
 from fractions import Fraction
 from pathlib import Path
 
 import starshape
+from starshape import cli
 
 SRC = Path(starshape.__file__).resolve().parent
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -71,3 +74,21 @@ def test_readme_library_example_gives_its_commented_values():
         else:
             exec(compile(ast.Module([stmt], []), "README", "exec"), namespace)
     assert checked == 3
+
+
+def test_readme_command_lines_exit_0_and_write_their_files(tmp_path, monkeypatch):
+    # Every starshape line of the Command line section, the conic example
+    # included, runs in an empty directory without a cache.
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    monkeypatch.chdir(tmp_path)
+    section = README.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    lines = [line for block in re.findall(r"```\n(.*?)```", section, re.S)
+             for line in block.splitlines() if line.startswith("starshape ")]
+    assert len(lines) == 6
+    for line in lines:
+        args = shlex.split(line)[1:]
+        assert cli.main(args) == 0, line
+        for flag, path in zip(args, args[1:]):
+            if flag in ("--json", "--csv", "--svg"):
+                assert (tmp_path / path).is_file(), line

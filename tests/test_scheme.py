@@ -395,5 +395,8 @@ def test_star_schemes_carry_their_hyperplanes_outside_equality():
     assert sch.with_multiplicity(5).hyperplanes == star.hyperplanes
     assert sch == bare and hash(sch) == hash(bare)
     assert cache_key(sch, 0) == cache_key(bare, 0)
-    with pytest.raises(SchemeFormatError, match="hyperplanes need 3 coefficients"):
-        FatPointScheme(2, star.points, 3, ((1, 2),))
+    # compute_gin decides incidences exactly on the rows, so a float, a
+    # bool or a Fraction is refused, and so is a zero row, no hyperplane.
+    for row in [(1, 2), (1.0, 1, 1), (True, 1, 1), (Fraction(1), 1, 1), (0, 0, 0)]:
+        with pytest.raises(SchemeFormatError, match="hyperplanes need 3 coefficients"):
+            FatPointScheme(2, star.points, 3, (row,) + star.hyperplanes[1:])
