@@ -158,6 +158,8 @@ def _finish(report: InvariantReport, args) -> int:
 
 def _check_common(args, parser) -> None:
     """Checks every command shares, before any work or file write."""
+    if not 0 <= args.seed < 1 << 64:
+        parser.error("--seed must be a 64-bit unsigned integer, 0 to 2**64 - 1")
     if args.command != "custom":
         if not 1 <= args.n <= args.s:
             parser.error("need --s >= --n >= 1")

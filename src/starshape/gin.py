@@ -39,6 +39,17 @@ Where that bound equals the rank mod p, no dual certificate is lifted.
 Without hyperplanes (custom schemes), or when the products fall short,
 the certificates run as they would.
 
+The products also give the search its start: one below the top degree of
+the minimal products.  It is a hint, never asserted: any start at or above
+D finds the same ideal, and a start below D walks up to it, so it stays out
+of cache keys and documents.  And the degree D+1 needs no proof when no
+point moved by the change lies on x_k = 0, checked in integers.  Then x_k
+is a nonzerodivisor on R/I, so H(D+1) >= H(D) = `length` (the rank mod p
+reached `length` at D, and H is at most `length`), hence (R/(I+x_k))_{D+1}
+= 0; since in(I+x_k) = in(I) + (x_k) in revlex, every degree-(D+1)
+monomial in x_1..x_n lies in in(I).  When a moved point has x_k = 0, that
+degree is proved like the others (Eisenbud, Commutative Algebra, 15.9).
+
 Genericity of the random coordinate change is certified operationally: the
 candidate is found under two independently seeded changes and must agree,
 its generator degrees must be proved over Q, and every result is checked
@@ -275,7 +286,10 @@ def _run_pair(
        their rank is the quotient Hilbert function, at most `length`.  The
        search profiles all degree-d monomials mod p, from the least such d
        with at least `length` of them, and stops at the first degree D
-       where the rank is `length`.
+       where the rank is `length`.  For a star it starts instead at the
+       top degree of its minimal products minus one, when that is higher:
+       then D is the first degree from there with rank `length`, and steps
+       2-4 hold for it as they do for the least one.
     2. Because in(I) : x_k = in(I), the free columns at D with x_k stripped
        are in(I)'s monomials of degree at most D in x_1..x_n; and since the
        rank is `length`, the artinian Hilbert function vanishes above D, so
@@ -294,7 +308,9 @@ def _run_pair(
        at dim J_e points, the count that lets the bound meet the rank.
        (Below degree m-1 the rows vanish and every column is free, x_k^e
        among them, so a generator there fails this check; in degree 0 it
-       is the unit ideal, which fails the colength check below.)
+       is the unit ideal, which fails the colength check below.)  Degree
+       D+1 is skipped when every moved point has x_k != 0: its monomials
+       lie in in(I) by the module docstring's nonzerodivisor argument.
 
     That is a proof over Q, whatever the profiles mod p did: by revlex,
     in(I + x_k) = in(I) + x_k, and R/(I + x_k) has length at least
@@ -314,9 +330,15 @@ def _run_pair(
     z2 = [[sum(map(mul, row, p)) for row in g2] for p in sch.int_points]
     length = sch.fat_point_degree()
     cap = m * (len(sch.points) + n) + k + 2
+    # The products' evaluation points come from a substream of the first seed.
+    products = (_StarProducts(sch, SeededRng(seeds[0]).derive(1))
+                if sch.hyperplanes else None)
     d = m - 1
     while dimension_of_degree(k, d) < length:
         d += 1
+    if products and products.exponents:
+        # A start, never asserted: one below the minimal products' top degree.
+        d = max(d, sum(products.exponents[-1]) - 1)
     while True:
         mons = monomials_of_degree(k, d)
         free = free_columns_mod_p(_condition_rows(z1, m, mons), len(mons))
@@ -335,10 +357,10 @@ def _run_pair(
         + [u + (0,) for u in monomials_of_degree(n, d + 1)],
     )
     gens = candidate.generators
-    # The products' evaluation points come from a substream of the first seed.
-    products = (_StarProducts(sch, SeededRng(seeds[0]).derive(1))
-                if sch.hyperplanes else None)
-    for e in sorted({sum(g) for g in gens}):
+    # With no moved point on x_k = 0, x_k is a nonzerodivisor on R/I and
+    # degree d+1 needs no proof (module docstring).
+    last = d if all(z[-1] for z in z1) else d + 1
+    for e in sorted({sum(g) for g in gens if sum(g) <= last}):
         lower = [g for g in gens if sum(g) < e]
         mons = monomials_of_degree(k, e)
         sub = [u for u in mons if not any(divides(g, u) for g in lower)]

@@ -355,6 +355,11 @@ def test_flags_rejected_before_any_output(tmp_path, monkeypatch, capsys):
         # An empty list is malformed, not a missing one.
         ["custom", "--points", "conic", "--m-max", "1", "--json", str(out),
          "--expect-vertices", ""],
+        # The master seed lies in [0, 2**64): -1 would alias 2**64 - 1, and
+        # 2**64 would alias 0.
+        ["star", "--n", "2", "--s", "3", "--m", "1", "--seed", "-1", "--json", str(out)],
+        ["custom", "--points", "conic", "--m-max", "1", "--seed", str(1 << 64),
+         "--json", str(out)],
     ):
         assert run(*argv, "--cache", str(cache)) == 2
         assert not out.exists() and not svg.exists() and not cache.exists()

@@ -387,20 +387,19 @@ def test_tampered_lift_is_refused_and_q_decides(monkeypatch, lift_calls, solutio
 def test_last_generator_degree_of_a_star_power_needs_no_lift(proofs):
     # star(2,4) m=3, given by its points alone, has generators in degrees 7
     # and 9.  Degree 7 is 36 x 36 of rank 32 mod p with its 4 free columns
-    # below every pivot, so 4 dual vectors prove it.  In degree 9 the
-    # conditions have full row rank mod p and the free columns are the last
-    # ones scanned: zero vectors.
+    # below every pivot, so 4 dual vectors prove it.  Degree 9 is D+1 and
+    # no moved point lies on x_3 = 0, so it needs no proof at all.
     res = compute_gin(FatPointScheme(2, build_star(2, 4).points, 3), seed=2)
     assert sorted({sum(g) for g in res.min_generators.generators}) == [7, 9]
-    assert proofs == [(36, 36, 4, [("rows", 4)]), (36, 40, 4, [])]
+    assert proofs == [(36, 36, 4, [("rows", 4)])]
 
 
 def test_star_power_with_its_hyperplanes_needs_no_lift(proofs):
     # The same power as a star: products of its four lines prove the rank
-    # of degree 7, so neither degree lifts a vector.
+    # of degree 7, so no degree lifts a vector.
     res = compute_gin(build_star(2, 4).with_multiplicity(3), seed=2)
     assert sorted({sum(g) for g in res.min_generators.generators}) == [7, 9]
-    assert proofs == [(36, 36, 4, []), (36, 40, 4, [])]
+    assert proofs == [(36, 36, 4, [])]
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -446,7 +445,7 @@ def test_hyperplane_moved_off_its_points_falls_back(proofs):
     on_h = [p for p in sch.int_points if not sum(map(mul, h, p))]
     assert len(on_h) == 3 and all(sum(map(mul, moved, p)) for p in on_h)
     res = compute_gin(replace(sch, hyperplanes=(moved,) + star.hyperplanes[1:]), seed=2)
-    assert proofs == [(36, 36, 4, [("rows", 4)]), (36, 40, 4, [])]
+    assert proofs == [(36, 36, 4, [("rows", 4)])]
     assert result_to_json(res) == result_to_json(compute_gin(sch, seed=2))
 
 
@@ -454,7 +453,7 @@ def test_star_missing_a_hyperplane_falls_back(proofs):
     star = build_star(2, 4)
     sch = star.with_multiplicity(3)
     res = compute_gin(replace(sch, hyperplanes=star.hyperplanes[1:]), seed=2)
-    assert proofs == [(36, 36, 4, [("rows", 4)]), (36, 40, 4, [])]
+    assert proofs == [(36, 36, 4, [("rows", 4)])]
     assert result_to_json(res) == result_to_json(compute_gin(sch, seed=2))
 
 
@@ -528,9 +527,9 @@ def test_generator_degrees_are_certified_without_q_elimination():
 
 def test_proofs_run_only_in_the_generator_degrees(monkeypatch):
     # star(2,4) m=3 has length 36 and generators in degrees 7 and 9.  The
-    # search starts at 7, the least degree with 36 monomials, and the rank
-    # reaches 36 at D = 8; the witness profiles 8, and only 7 and 9 are
-    # proved.
+    # search starts at 8, one below the top degree of the minimal products
+    # of its lines, and the rank is 36 there: D = 8.  The witness profiles
+    # 8, and only 7 is proved, since 9 = D+1 needs no proof.
     rows_at, proved_at = [], []
     rows_of, settle = gin._condition_rows, gin.certified_free_columns
 
@@ -547,9 +546,63 @@ def test_proofs_run_only_in_the_generator_degrees(monkeypatch):
     sch = build_star(2, 4).with_multiplicity(3)
     res = compute_gin(sch, seed=2)
     assert sorted({sum(g) for g in res.min_generators.generators}) == [7, 9]
-    assert rows_at == [7, 8, 8, 7, 9]
-    assert proved_at == [7, 9]
+    assert rows_at == [8, 8, 7]
+    assert proved_at == [7]
     assert min(rows_at) >= sch.multiplicity - 1
+
+
+def test_point_moved_onto_the_last_hyperplane_keeps_the_top_proof(proofs):
+    # star(2,4) m=1 has D = 2 and all its generators in degree 3 = D+1, so
+    # under its own g1 nothing is proved.  A last row of g1 that vanishes at
+    # one point makes x_3 a zero divisor.  The witness still agrees, so the
+    # candidate is the same ideal; the degree-3 proof now runs and refuses
+    # it, since the real initial ideal involves x_3.
+    sch = build_star(2, 4).with_multiplicity(1)
+    clean = compute_gin(sch, seed=2)
+    g1, g2 = coordinate_change_for(clean, 0), coordinate_change_for(clean, 1)
+    assert proofs == []
+    p = sch.int_points[0]
+    at_p = sum(map(mul, g1[-1], p))
+    g1[-1] = [p[0] * c - at_p * (j == 0) for j, c in enumerate(g1[-1])]
+    assert p[0] and not sum(map(mul, g1[-1], p)) and linalg.determinant(g1)
+    with pytest.raises(GenericityError, match="degree-3 generators fail"):
+        gin._run_pair(sch, g1, g2, clean.seeds_used)
+    assert proofs == [(6, 10, 4, [("columns", 1)])]
+
+
+def _exponents_topped_at(top):
+    """A stand-in for _StarProducts.exponents: the minimal products below
+    degree `top` and one product of degree `top`, a multiple of the last of
+    them, so every product still lies in the symbolic power."""
+    exponents = gin._StarProducts.exponents.func
+
+    def patched(self):
+        kept = [a for a in exponents(self) if sum(a) < top]
+        return kept + [(kept[-1][0] + top - sum(kept[-1]),) + kept[-1][1:]]
+
+    return property(patched)
+
+
+@pytest.mark.parametrize("shift", [2, -2])
+def test_search_start_is_a_hint_not_an_assertion(monkeypatch, shift):
+    # star(2,5) m=5 reaches rank 70 at D = 19, the least degree with 70
+    # monomials being 16.  A start 2 above D or 2 below it, both above 16,
+    # gives the same document as the scheme without hyperplanes, whose
+    # walk starts at 16.
+    sch = build_star(2, 5).with_multiplicity(5)
+    reference = result_to_json(compute_gin(FatPointScheme(2, sch.points, 5), seed=2))
+    starts, rows_of = [], gin._condition_rows
+
+    def rows_spy(points, m, mons):
+        starts.append(sum(mons[0]))
+        return rows_of(points, m, mons)
+
+    monkeypatch.setattr(gin, "_condition_rows", rows_spy)
+    assert result_to_json(compute_gin(sch, seed=2)) == reference and starts[0] == 19
+    starts.clear()
+    monkeypatch.setattr(gin._StarProducts, "exponents", _exponents_topped_at(19 + shift + 1))
+    assert result_to_json(compute_gin(sch, seed=2)) == reference
+    assert starts[0] == 19 + shift
 
 
 def test_failed_certificate_redraws(monkeypatch):
