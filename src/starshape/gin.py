@@ -42,13 +42,14 @@ the certificates run as they would.
 The products also give the search its start: one below the top degree of
 the minimal products.  It is a hint, never asserted: any start at or above
 D finds the same ideal, and a start below D walks up to it, so it stays out
-of cache keys and documents.  And the degree D+1 needs no proof when no
-point moved by the change lies on x_k = 0, checked in integers.  Then x_k
-is a nonzerodivisor on R/I, so H(D+1) >= H(D) = `length` (the rank mod p
-reached `length` at D, and H is at most `length`), hence (R/(I+x_k))_{D+1}
-= 0; since in(I+x_k) = in(I) + (x_k) in revlex, every degree-(D+1)
-monomial in x_1..x_n lies in in(I).  When a moved point has x_k = 0, that
-degree is proved like the others (Eisenbud, Commutative Algebra, 15.9).
+of cache keys and documents.  And the degree D+1 needs no proof.  A draw
+that moves a point onto x_k = 0, checked in integers, is refused at once:
+x_k is then a zero divisor on R/I, and J, free of x_k, could only fail
+later (_run_pair).  Otherwise x_k is a nonzerodivisor on R/I, so H(D+1) >=
+H(D) = `length` (the rank mod p reached `length` at D, and H is at most
+`length`), hence (R/(I+x_k))_{D+1} = 0; since in(I+x_k) = in(I) + (x_k) in
+revlex, every degree-(D+1) monomial in x_1..x_n lies in in(I) (Eisenbud,
+Commutative Algebra, 15.9).
 
 Genericity of the random coordinate change is certified operationally: the
 candidate is found under two independently seeded changes and must agree,
@@ -309,8 +310,8 @@ def _run_pair(
        (Below degree m-1 the rows vanish and every column is free, x_k^e
        among them, so a generator there fails this check; in degree 0 it
        is the unit ideal, which fails the colength check below.)  Degree
-       D+1 is skipped when every moved point has x_k != 0: its monomials
-       lie in in(I) by the module docstring's nonzerodivisor argument.
+       D+1 needs no proof: its monomials lie in in(I) by the module
+       docstring's nonzerodivisor argument.
 
     That is a proof over Q, whatever the profiles mod p did: by revlex,
     in(I + x_k) = in(I) + x_k, and R/(I + x_k) has length at least
@@ -319,7 +320,9 @@ def _run_pair(
     it, and once _validate has checked that J's colength is `length`, J is
     all of it, x_k is a nonzerodivisor and J = in(I).  A wrong guess, or a
     certificate that fails under g1, fails step 3, step 4 or that check and
-    triggers a redraw.
+    triggers a redraw.  So does, before step 1, a point moved onto x_k = 0:
+    x_k is then a zero divisor, the x_k-free part of in(I) has colength
+    above `length`, and no J inside it could pass.
     """
     n, m = sch.dim, sch.multiplicity
     k = n + 1
@@ -327,6 +330,8 @@ def _run_pair(
     # torus action, and a scale below p is a unit mod p, so neither needs
     # normalising: no profile and no ideal would change.
     z1 = [[sum(map(mul, row, p)) for row in g1] for p in sch.int_points]
+    if not all(z[-1] for z in z1):
+        raise GenericityError("a moved point lies on x_k = 0")
     z2 = [[sum(map(mul, row, p)) for row in g2] for p in sch.int_points]
     length = sch.fat_point_degree()
     cap = m * (len(sch.points) + n) + k + 2
@@ -357,10 +362,8 @@ def _run_pair(
         + [u + (0,) for u in monomials_of_degree(n, d + 1)],
     )
     gens = candidate.generators
-    # With no moved point on x_k = 0, x_k is a nonzerodivisor on R/I and
-    # degree d+1 needs no proof (module docstring).
-    last = d if all(z[-1] for z in z1) else d + 1
-    for e in sorted({sum(g) for g in gens if sum(g) <= last}):
+    # x_k is a nonzerodivisor on R/I, so degree d+1 needs no proof.
+    for e in sorted({sum(g) for g in gens if sum(g) <= d}):
         lower = [g for g in gens if sum(g) < e]
         mons = monomials_of_degree(k, e)
         sub = [u for u in mons if not any(divides(g, u) for g in lower)]
@@ -440,10 +443,11 @@ def compute_gin(
     Finds and proves the ideal under one coordinate change and checks it
     against a second, seeded independently from `seed`: the witness is one
     pivot profile mod p in the degree D where the search stops, whose free
-    columns must be the first change's (_run_pair).  Redraws on a witness
-    mismatch, a failed certificate or any structural-invariant failure, up
-    to GIN_DRAWS pairs.  Deterministic given (scheme, seed).  A cache entry
-    that _served refuses is recomputed and overwritten.
+    columns must be the first change's (_run_pair).  Redraws on a point
+    moved onto x_k = 0, a witness mismatch, a failed certificate or any
+    structural-invariant failure, up to GIN_DRAWS pairs.  Deterministic
+    given (scheme, seed).  A cache entry that _served refuses is recomputed
+    and overwritten.
     """
     key = cache_key(sch, seed)
     pairs = _seed_pairs(seed)

@@ -551,23 +551,25 @@ def test_proofs_run_only_in_the_generator_degrees(monkeypatch):
     assert min(rows_at) >= sch.multiplicity - 1
 
 
-def test_point_moved_onto_the_last_hyperplane_keeps_the_top_proof(proofs):
-    # star(2,4) m=1 has D = 2 and all its generators in degree 3 = D+1, so
-    # under its own g1 nothing is proved.  A last row of g1 that vanishes at
-    # one point makes x_3 a zero divisor.  The witness still agrees, so the
-    # candidate is the same ideal; the degree-3 proof now runs and refuses
-    # it, since the real initial ideal involves x_3.
+def test_point_moved_onto_the_last_hyperplane_is_refused(proofs, monkeypatch):
+    # star(2,4) m=1 has D = 2 and all its generators in degree 3 = D+1.  A
+    # last row of g1 that vanishes at one point makes x_3 a zero divisor,
+    # so the true degree-3 slice is not the x_3-free candidate's, and the
+    # draw is refused before any profile or proof.
     sch = build_star(2, 4).with_multiplicity(1)
     clean = compute_gin(sch, seed=2)
     g1, g2 = coordinate_change_for(clean, 0), coordinate_change_for(clean, 1)
-    assert proofs == []
     p = sch.int_points[0]
     at_p = sum(map(mul, g1[-1], p))
     g1[-1] = [p[0] * c - at_p * (j == 0) for j, c in enumerate(g1[-1])]
     assert p[0] and not sum(map(mul, g1[-1], p)) and linalg.determinant(g1)
-    with pytest.raises(GenericityError, match="degree-3 generators fail"):
+    slice_3 = {u for u in monomials_of_degree(3, 3) if clean.min_generators.contains(u)}
+    assert gin_degree(sch, 3, g1) != slice_3
+    rows_at = []
+    monkeypatch.setattr(gin, "_condition_rows", lambda *args: rows_at.append(args))
+    with pytest.raises(GenericityError, match="moved point lies on x_k = 0"):
         gin._run_pair(sch, g1, g2, clean.seeds_used)
-    assert proofs == [(6, 10, 4, [("columns", 1)])]
+    assert rows_at == [] and proofs == []
 
 
 def _exponents_topped_at(top):
