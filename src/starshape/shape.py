@@ -5,9 +5,13 @@ generator lattice points plus the non-negative orthant (recession by
 monomial multiples); Q is the closure of the complement of P inside the
 orthant, bounded exactly when every axis carries a pure power.  Membership
 in P is decided by P's exact facet inequalities (Shape.facets, computed
-once per shape by double description in integers).  For n = 2 the area of
-Q is exact (triangles from the origin over P's facets); for n >= 3 a seeded
-Monte-Carlo estimate is provided for reporting only.
+once per shape by double description in integers), compared in integers
+against a point written as integer numerators over one common denominator.
+For n = 2 the area of Q is exact (triangles from the origin over P's
+facets); for n >= 3 a seeded Monte-Carlo estimate is provided for
+reporting only.  Its float samples are read exactly as such integer points
+(every float is a dyadic rational), so each membership decision is still
+exact and no Fraction is built per sample.
 
 AxisSimplex is the simplex spanned by the origin and one point per axis;
 for a star configuration of s hyperplanes in P^n the predicted limit
@@ -169,16 +173,24 @@ def axis_intercept(sh: Shape, i: int) -> Fraction | None:
 
 def contains(sh: Shape, q: Sequence[Fraction]) -> bool:
     """Exact membership of q in P = conv(points) + orthant: a.q >= b for
-    every facet inequality (a, b) of sh.facets, compared in integers."""
+    every facet inequality (a, b) of sh.facets, decided by _in_p on q's
+    numerators over the lcm of its denominators."""
     point = [Fraction(c) for c in q]
     if len(point) != sh.num_vars:
         raise ValueError("dimension mismatch")
     if any(c < 0 for c in point):
         raise ValueError("membership queries live in the orthant")
     den, (nums,) = _integer_points([point])
+    return _in_p(sh.facets, nums, den)
+
+
+def _in_p(facets: Sequence[Facet], nums: Sequence[int], den: int) -> bool:
+    """Whether the point nums / den (den > 0) satisfies a.x >= b for every
+    facet inequality (a, b): a.nums * b.denominator >= b.numerator * den,
+    in integers."""
     return all(
         sum(x * y for x, y in zip(a, nums)) * b.denominator >= b.numerator * den
-        for a, b in sh.facets
+        for a, b in facets
     )
 
 
@@ -211,11 +223,15 @@ def q_volume_estimate(
 ) -> tuple[float, float]:
     """Monte-Carlo estimate (value, stderr) of vol(Q) for n >= 3.
 
-    Samples uniformly in the simplex spanned by the axis intercepts (which
-    contains Q) and counts non-membership in P, each sample converted to
-    exact rationals and tested against P's facet inequalities.  Reporting
-    only; nothing downstream decides on these floats.  Deterministic given
-    seed.
+    Samples uniformly in the simplex spanned by the axis intercepts t_i
+    (which contains Q) and counts non-membership in P.  A sample is the
+    point (t_i u_i) for floats u_i.  With t_i = tnums_i / scale and u_i =
+    a_i / d_i exactly (d_i a power of 2, so top = max d_i is their lcm), it
+    is the integer point nums / (scale * top), nums_i = tnums_i a_i
+    (top / d_i), decided exactly by _in_p against P's facet inequalities.
+    Reporting only; nothing downstream decides on these floats.
+    Deterministic given seed.  When the origin is a generator P is the
+    whole orthant, and the estimate is (0.0, 0.0).
     """
     n = sh.num_vars
     if n < 3:
@@ -228,14 +244,20 @@ def q_volume_estimate(
         if t is None:
             raise UnboundedRegionError("missing pure power: Q is unbounded")
         ts.append(t)
+    if not all(ts):
+        return 0.0, 0.0
     box_volume = AxisSimplex(tuple(ts)).volume
+    scale, (tnums,) = _integer_points([ts])
+    facets = sh.facets
     rng = SeededRng(seed)
     hits = 0
     for _ in range(samples):
         exps = [-math.log(1.0 - rng.next_float()) for _ in range(n + 1)]
         total = sum(exps)
-        q = [Fraction(ts[i]) * Fraction(exps[i] / total) for i in range(n)]
-        if not contains(sh, q):
+        ratios = [(e / total).as_integer_ratio() for e in exps[:n]]
+        top = max(d for _, d in ratios)
+        nums = [t * a * (top // d) for t, (a, d) in zip(tnums, ratios)]
+        if not _in_p(facets, nums, scale * top):
             hits += 1
     p_hat = hits / samples
     estimate = float(box_volume) * p_hat

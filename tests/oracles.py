@@ -10,7 +10,10 @@ fraction-free elimination over Q that lives here, never from the mod-p
 profile or its certificate.  The determinant oracle sums Leibniz's
 formula in Fractions.  The geometry oracles decide membership in a Newton
 polyhedron by vertex enumeration and find its facets by trying every
-candidate hyperplane.
+candidate hyperplane.  fraction_volume_estimate draws the library's
+Monte-Carlo samples but converts each one to Fractions and asks contains,
+so it checks the sampler's integer form of each sample, not the facet test
+(which the vertex-enumeration oracle checks).
 """
 
 import math
@@ -23,6 +26,7 @@ from starshape.linalg import random_invertible_matrix
 from starshape.monomial import dimension_of_degree, monomials_of_degree
 from starshape.rng import SeededRng
 from starshape.scheme import FatPointScheme
+from starshape.shape import AxisSimplex, axis_intercept, contains
 
 
 def revlex_cmp(u, v):
@@ -322,3 +326,24 @@ def naive_facets(points):
         div = math.gcd(*ints)
         found.add((tuple(x // div for x in ints), b * den / div))
     return tuple(sorted(found))
+
+
+def fraction_volume_estimate(sh, samples, seed):
+    """q_volume_estimate's (estimate, stderr) with every sample built as
+    Fractions, t_i * Fraction(u_i), and decided by contains.  Needs every
+    pure power present and the origin not a generator."""
+    n = sh.num_vars
+    ts = [axis_intercept(sh, i) for i in range(1, n + 1)]
+    box_volume = AxisSimplex(tuple(ts)).volume
+    rng = SeededRng(seed)
+    hits = 0
+    for _ in range(samples):
+        exps = [-math.log(1.0 - rng.next_float()) for _ in range(n + 1)]
+        total = sum(exps)
+        q = [Fraction(ts[i]) * Fraction(exps[i] / total) for i in range(n)]
+        if not contains(sh, q):
+            hits += 1
+    p_hat = hits / samples
+    estimate = float(box_volume) * p_hat
+    stderr = float(box_volume) * math.sqrt(p_hat * (1.0 - p_hat) / samples)
+    return estimate, stderr

@@ -3,10 +3,10 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import EQ, LE, brute_force_feasible, naive_facets
+from oracles import EQ, LE, brute_force_feasible, fraction_volume_estimate, naive_facets
 from starshape.errors import UnboundedRegionError
 from starshape.shape import (
     AxisSimplex,
@@ -228,14 +228,58 @@ def test_facet_self_check_fires():
 
 
 def test_volume_estimates_pinned_bit_for_bit(star_gin):
-    # The literal (estimate, stderr) pairs recorded in
-    # perfbench/goldens/volume.json under star-3-4-3/500 and star-3-5-3/500
-    # (the benchmark's volume seed is 1401).
-    pinned = {4: (0.7051851851851851, 0.007081419494537321),
-              5: (1.788888888888889, 0.023591168048160374)}
-    for s, expected in pinned.items():
-        sh = scaled(shape_of(star_gin(3, s, 3)), 3)
+    # Literal (estimate, stderr) pairs at 500 samples and the benchmark's
+    # volume seed 1401, keyed by (n, s, m, divisor).  The n = 3 powers
+    # divided by m are perfbench/goldens/volume.json's star-3-4-1..3/500 and
+    # star-3-5-1..3/500; the n = 4 powers and the star(3,4) m=3 shape
+    # divided by 7 were recorded with the per-sample Fraction estimator.
+    pinned = {
+        (3, 4, 1, 1): (1.3333333333333333, 0.0),
+        (3, 4, 2, 2): (0.75, 0.0),
+        (3, 4, 3, 3): (0.7051851851851851, 0.007081419494537321),
+        (3, 5, 1, 1): (4.5, 0.0),
+        (3, 5, 2, 2): (2.0, 0.0),
+        (3, 5, 3, 3): (1.788888888888889, 0.023591168048160374),
+        (4, 5, 2, 2): (0.28125, 0.0),
+        (4, 5, 3, 3): (0.2345679012345679, 0.0024066158876071527),
+        (3, 4, 3, 7): (0.055510204081632646, 0.0005574295228936084),
+    }
+    for (n, s, m, divisor), expected in pinned.items():
+        sh = scaled(shape_of(star_gin(n, s, m)), divisor)
         assert q_volume_estimate(sh, samples=500, seed=1401) == expected
+
+
+@st.composite
+def bounded_shapes(draw):
+    """antichain_shapes in three and four variables with every pure power
+    present: an axis that lacks one gets it beyond every generator, at a
+    coordinate with denominator 1, 2 or 3."""
+    sh = draw(antichain_shapes(dims=(3, 4)))
+    n = sh.num_vars
+    pts = list(sh.points)
+    for i in range(1, n + 1):
+        if axis_intercept(sh, i) is None:
+            beyond = F(draw(st.integers(1, 6)), draw(st.integers(1, 3)))
+            t = max(p[i - 1] for p in sh.points) + beyond
+            pts.append(tuple(t if j == i else F(0) for j in range(1, n + 1)))
+    return Shape(n, tuple(pts))
+
+
+@settings(max_examples=60, deadline=None)
+@given(bounded_shapes(), st.integers(1, 60), st.integers(0, 2**64 - 1))
+def test_volume_estimate_matches_fraction_samples(sh, samples, seed):
+    assume(any(any(p) for p in sh.points))  # the origin alone: Q is empty
+    assert q_volume_estimate(sh, samples=samples, seed=seed) == fraction_volume_estimate(
+        sh, samples, seed
+    )
+
+
+def test_volume_estimate_origin_generator():
+    # The origin generates the whole orthant, so P is everything and Q is
+    # empty, as q_area_2d already reports for n = 2.
+    assert q_area_2d(Shape(2, ((0, 0),))) == 0
+    assert q_volume_estimate(Shape(3, ((0, 0, 0),))) == (0.0, 0.0)
+    assert q_volume_estimate(Shape(4, ((0, 0, 0, 0),)), samples=1, seed=5) == (0.0, 0.0)
 
 
 def test_q_area_simple_triangle():
