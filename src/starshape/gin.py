@@ -16,21 +16,32 @@ One profile mod a prime p (linalg.MODULUS) finds the ideal: for a
 saturated ideal in generic coordinates no minimal generator of the revlex
 initial ideal involves the last variable (Bayer-Stillman), so all of it
 shows up in the first degree D where the rank of the conditions reaches
-the scheme's length (_run_pair).  That profile is only a guess.  The
-answer is exact over Q because each degree where the guess has generators
-is proved by a certificate from its profile mod p
-(linalg.certified_free_columns), and the colength check of _validate
-closes the argument.
+the scheme's length (_run_pair).  That profile is only a guess, and it
+holds its own proof.  A draw that moves a point onto x_k = 0, checked in
+integers, is refused at once, so x_k is a nonzerodivisor on R/I: for
+every e <= D, f -> x_k^(D-e) * f maps I_e onto the kernel of the
+degree-D conditions on the columns x_k^(D-e) times the degree-e monomials.
+In revlex those columns are the last of degree D, in the degree-e
+monomials' order, so the scan meets them first: the first steps of the
+degree-D profile are the profile of that block, pivot rows included.
+Leaving out the block's columns that lower generators divide changes no
+other step when each is free there; a pivot among them fails the proof
+(linalg.restricted_profile).  The answer is exact over Q because each
+degree where the guess has generators is proved by certificates from that
+restricted profile (linalg.certified_free_columns), on the block's rows,
+which are built only when a certificate is lifted; and the colength check
+of _validate closes the argument.
 
 A star's hyperplanes make most certificates free.  Products of them that
 vanish to order m at every point lie in I^(m), so in a degree e with N
-monomials, N - rank_p(products) bounds the rank over Q of the conditions
-A_sub on any column subset sub from above (_StarProducts, passed as the
-rank bound).  The products are taken in the scheme's own coordinates,
-since the bound measures only dim I_e: a change g1 maps I^(m)_e onto the
-degree-e piece of the moved ideal, and each span prod h_i^a_i * R_(e-|a|)
-onto that of the moved products.  The proof:
-  - rank_Q(A_sub) <= rank_Q(A_full) = N - dim I_e, in any coordinates;
+monomials, N - rank_p(products) bounds the rank over Q of the block's
+conditions A_sub on any column subset sub from above (_StarProducts,
+passed as the rank bound).  The products are taken in the scheme's own
+coordinates, since the bound measures only dim I_e: a change g1 maps
+I^(m)_e onto the degree-e piece of the moved ideal, and each span prod
+h_i^a_i * R_(e-|a|) onto that of the moved products.  The proof:
+  - rank_Q(A_sub) <= rank_Q(A_block) = N - dim I_e, in any coordinates,
+    since the block's kernel is x_k^(D-e) * I_e;
   - vectors independent mod p are independent over Q, so dim I_e >=
     rank_p(products), and their values at points mod p have no larger rank;
   - a product vanishes at a point p to order sum(a_i : h_i(p) = 0), and
@@ -41,15 +52,14 @@ the certificates run as they would.
 
 The products also give the search its start: one below the top degree of
 the minimal products.  It is a hint, never asserted: any start at or above
-D finds the same ideal, and a start below D walks up to it, so it stays out
-of cache keys and documents.  And the degree D+1 needs no proof.  A draw
-that moves a point onto x_k = 0, checked in integers, is refused at once:
-x_k is then a zero divisor on R/I, and J, free of x_k, could only fail
-later (_run_pair).  Otherwise x_k is a nonzerodivisor on R/I, so H(D+1) >=
-H(D) = `length` (the rank mod p reached `length` at D, and H is at most
-`length`), hence (R/(I+x_k))_{D+1} = 0; since in(I+x_k) = in(I) + (x_k) in
-revlex, every degree-(D+1) monomial in x_1..x_n lies in in(I) (Eisenbud,
-Commutative Algebra, 15.9).
+D finds the same ideal, and a start below D walks up to it, so it stays
+out of cache keys and documents.  And the degree D+1 needs no proof.  Had a
+point moved onto x_k = 0, x_k would be a zero divisor on R/I, and J, free
+of x_k, could only fail later (_run_pair).  As x_k is a nonzerodivisor on
+R/I instead, H(D+1) >= H(D) = `length` (the rank mod p reached `length` at
+D, and H is at most `length`), hence (R/(I+x_k))_{D+1} = 0; since
+in(I+x_k) = in(I) + (x_k) in revlex, every degree-(D+1) monomial in
+x_1..x_n lies in in(I) (Eisenbud, Commutative Algebra, 15.9).
 
 Genericity of the random coordinate change is certified operationally: the
 candidate is found under two independently seeded changes and must agree,
@@ -79,7 +89,7 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate
 from math import prod
 from operator import mul
@@ -89,9 +99,9 @@ from .linalg import (
     MODULUS,
     certified_free_columns,
     format_rational,
-    free_columns_mod_p,
     pivot_profile_mod_p,
     random_invertible_matrix,
+    restricted_profile,
 )
 from .monomial import (
     MonomialIdeal,
@@ -155,7 +165,7 @@ class GinResult:
         the quotient Hilbert function of the symbolic power stops growing."""
         return len(self._hilbert_values) - 1
 
-    @cached_property
+    @property
     def hf_table(self) -> tuple[tuple[int, int, int], ...]:
         # Without generators in the last variable, the degree-d standard
         # monomials are the artinian ones of degree <= d times a power of it.
@@ -298,8 +308,13 @@ def _run_pair(
        they generate the candidate J.
     3. The witness profile of g2 at D must have the same free columns.
     4. In each degree e of a generator of J, ascending, the columns are the
-       degree-e monomials that no lower-degree generator of J divides.
-       Their free columns over Q, proved by linalg.certified_free_columns,
+       degree-e monomials that no lower-degree generator of J divides,
+       times x_k^(D-e): part of the block of degree D's last columns,
+       whose profile is the first steps of step 1's (module docstring).
+       Their profile is read off it, and every block column they leave out
+       must be free there.  Their free columns over Q, proved by
+       linalg.certified_free_columns from that profile on the degree-D
+       conditions on those columns (built only to lift a certificate),
        lie in in(I), and they must be exactly J's degree-e generators.  So
        J is in in(I).  A certificate that fails fails this step.  For a
        star the proof gets N - rank_p(products) as an upper bound on the
@@ -307,11 +322,10 @@ def _run_pair(
        hyperplanes (proved in the module docstring).  They are built only
        when the proof would otherwise lift dual certificates, and evaluated
        at dim J_e points, the count that lets the bound meet the rank.
-       (Below degree m-1 the rows vanish and every column is free, x_k^e
-       among them, so a generator there fails this check; in degree 0 it
-       is the unit ideal, which fails the colength check below.)  Degree
-       D+1 needs no proof: its monomials lie in in(I) by the module
-       docstring's nonzerodivisor argument.
+       (Below degree m, I_e = 0, so no block column is free over Q and a
+       generator there fails this check.)  Degree D+1 needs no proof: its
+       monomials lie in in(I) by the module docstring's nonzerodivisor
+       argument.
 
     That is a proof over Q, whatever the profiles mod p did: by revlex,
     in(I + x_k) = in(I) + x_k, and R/(I + x_k) has length at least
@@ -346,7 +360,8 @@ def _run_pair(
         d = max(d, sum(products.exponents[-1]) - 1)
     while True:
         mons = monomials_of_degree(k, d)
-        free = free_columns_mod_p(_condition_rows(z1, m, mons), len(mons))
+        profile = pivot_profile_mod_p(_condition_rows(z1, m, mons), len(mons))
+        free = profile[0]
         if len(mons) - len(free) == length:
             break
         d += 1
@@ -354,7 +369,7 @@ def _run_pair(
             raise GenericityError(
                 f"Hilbert function failed to stabilize by degree {cap}"
             )
-    if free_columns_mod_p(_condition_rows(z2, m, mons), len(mons)) != free:
+    if pivot_profile_mod_p(_condition_rows(z2, m, mons), len(mons))[0] != free:
         raise GenericityError(f"coordinate changes disagree in degree {d}")
     candidate = MonomialIdeal(
         k,
@@ -365,17 +380,23 @@ def _run_pair(
     # x_k is a nonzerodivisor on R/I, so degree d+1 needs no proof.
     for e in sorted({sum(g) for g in gens if sum(g) <= d}):
         lower = [g for g in gens if sum(g) < e]
-        mons = monomials_of_degree(k, e)
-        sub = [u for u in mons if not any(divides(g, u) for g in lower)]
+        mons_e = monomials_of_degree(k, e)
+        # The last columns of degree d are x_k^(d-e) times mons_e, in order.
+        start = len(mons) - len(mons_e)
+        keep = [j for j, u in enumerate(mons_e) if not any(divides(g, u) for g in lower)]
+        sub = [mons_e[j] for j in keep]
         top = [g for g in gens if sum(g) == e]
 
         def rank_bound():
-            # At dim J_e points (the len(mons) - len(sub) multiples of lower
+            # At dim J_e points (the len(mons_e) - len(sub) multiples of lower
             # generators, and top) the bound can meet J's rank and no more.
-            return len(mons) - products.rank(e, len(mons) - len(sub) + len(top))
+            return len(mons_e) - products.rank(e, len(mons_e) - len(sub) + len(top))
 
-        proved = certified_free_columns(
-            _condition_rows(z1, m, sub), len(sub), rank_bound if products else None)
+        cols = [start + j for j in keep]
+        block = restricted_profile(profile, start, cols)
+        proved = None if block is None else certified_free_columns(
+            block, length, partial(_condition_rows, z1, m, [mons[c] for c in cols]),
+            rank_bound if products else None)
         if proved is None or [sub[j] for j in proved] != top:
             raise GenericityError(f"degree-{e} generators fail the proof over Q")
     return GinResult(n, m, candidate, seeds)

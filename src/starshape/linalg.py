@@ -15,13 +15,17 @@ the smallest pivot column; a free column above it gets a column
 certificate, a kernel vector.  Where that takes more vectors than there
 are free columns, every free column gets a column certificate instead.
 Full row rank mod p with the free columns last in the scan takes zero
-vectors.
+vectors.  The proof takes the profile from its caller, and builds the
+matrix only to lift a certificate.  The first columns a scan meets are a
+block whose profile is the first steps of the whole scan, and leaving out
+free columns changes no other step (restricted_profile): gin proves each
+generator degree e from the profile of its search degree D that way.
 
 A caller that has proved an upper bound on the rank over Q by other means
 passes it in, and where it equals the rank mod p it replaces the dual
-certificates.  gin passes one for a star's degree-e conditions: N minus
-the rank mod p of products of the star's hyperplanes that vanish to order
-m at every point, N the degree-e monomials.  Its proof is in gin's module
+certificates.  gin passes one for a star's degree-e block: N minus the
+rank mod p of products of the star's hyperplanes that vanish to order m
+at every point, N the degree-e monomials.  Its proof is in gin's module
 docstring.
 
 There is no exact elimination of a condition matrix to fall back on: a
@@ -169,9 +173,26 @@ def pivot_profile_mod_p(
     return free[::-1], pivots, pivot_rows
 
 
-def free_columns_mod_p(rows: Sequence[Sequence[int]], ncols: int) -> list[int]:
-    """The non-pivot columns of pivot_profile_mod_p, ascending."""
-    return pivot_profile_mod_p(rows, ncols)[0]
+def restricted_profile(
+    profile: tuple[list[int], list[int], list[int]], start: int, cols: Sequence[int]
+) -> tuple[list[int], list[int], list[int]] | None:
+    """The pivot profile of the columns cols (ascending, each at least
+    start) of the rows whose pivot_profile_mod_p is profile, read off it
+    with columns renumbered by their place in cols; None when a column from
+    start on that cols leaves out is a pivot.
+
+    The scan meets the columns from start on first, so its first steps
+    are the profile of that block alone, with the same pivot rows.  A free
+    column makes no row operation, so leaving free columns out changes no
+    other step.
+    """
+    free, pivots, pivot_rows = profile
+    place = {c: j for j, c in enumerate(cols)}
+    # Pivots come in scan order, so the block's are a prefix.
+    t = sum(c >= start for c in pivots)
+    if any(c not in place for c in pivots[:t]):
+        return None
+    return [place[c] for c in free if c in place], [place[c] for c in pivots[:t]], pivot_rows[:t]
 
 
 def _inverse_columns_mod_p(mat: list[list[int]]) -> list[int]:
@@ -345,12 +366,15 @@ def _kernel_certificates(
 
 
 def certified_free_columns(
-    rows: Sequence[Sequence[int]],
-    ncols: int,
+    profile: tuple[list[int], list[int], list[int]],
+    nrows: int,
+    rows: Callable[[], Sequence[Sequence[int]]],
     rank_bound: Callable[[], int] | None = None,
 ) -> list[int] | None:
-    """Non-pivot columns of the last-column-first scan over Q, proved from
-    the profile mod p; None when the proof fails.
+    """Non-pivot columns of the last-column-first scan over Q of a matrix A
+    with nrows rows, proved from its pivot_profile_mod_p, profile; None
+    when the proof fails.  rows() builds A, and is called only when a
+    certificate is lifted or A has no pivot mod p.
 
     The mod-p pivots of every suffix of columns are independent mod p,
     hence over Q, so rank_p(S) <= rank_Q(S) for every column suffix S.
@@ -387,18 +411,18 @@ def certified_free_columns(
     column is free over Q only if every row is zero.  Both kinds come from
     _kernel_certificates, a dual certificate as a kernel vector of the
     transpose, and nothing the lifting returns is trusted unchecked.  Both
-    kinds solve with B = rows[pivot_rows][pivots], invertible mod p by the
+    kinds solve with B = A[pivot_rows][pivots], invertible mod p by the
     profile: column certificates with B, dual ones with its transpose.  So
     B is inverted once, and the rows of B**-1 serve as the columns of
     (B^T)**-1.
     """
-    free, pivots, pivot_rows = pivot_profile_mod_p(rows, ncols)
+    free, pivots, pivot_rows = profile
     if not free:
         return []
     if not pivots:
-        return None if any(map(any, rows)) else free
+        return None if any(map(any, rows())) else free
     pivot_row_set = set(pivot_rows)
-    spare = [i for i in range(len(rows)) if i not in pivot_row_set]
+    spare = [i for i in range(nrows) if i not in pivot_row_set]
     interleaved = [f for f in free if f > pivots[-1]]
     if spare and rank_bound is not None:
         bound = rank_bound()
@@ -412,17 +436,18 @@ def certified_free_columns(
         cols, spare = free, []
     if not cols and not spare:
         return free
-    inverse = _inverse_columns_mod_p([[rows[i][c] for c in pivots] for i in pivot_rows])
+    mat = rows()
+    inverse = _inverse_columns_mod_p([[mat[i][c] for c in pivots] for i in pivot_rows])
     # Kernel vectors tend to grow as the column index falls, left-kernel
     # vectors with the row index: both lists go widest first.
     if cols and _kernel_certificates(
-            rows, cols, pivot_rows, pivots, inverse, ordered=True) is None:
+            mat, cols, pivot_rows, pivots, inverse, ordered=True) is None:
         return None
     if spare:
         r = len(pivots)
         nb = _slot_bytes(r)
         inverse = [_pack(row, nb) for row in zip(*(_unpack(x, nb, r) for x in inverse))]
-        if _kernel_certificates(list(zip(*rows)), spare[::-1], pivots, pivot_rows, inverse) is None:
+        if _kernel_certificates(list(zip(*mat)), spare[::-1], pivots, pivot_rows, inverse) is None:
             return None
     return free
 

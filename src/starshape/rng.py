@@ -7,10 +7,13 @@ that identical seeds give bit-identical results on every platform.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+_TWO_64 = float(1 << 64)
+_BELOW_ONE = math.nextafter(1.0, 0.0)
 
 
 def mix64(z: int) -> int:
@@ -55,8 +58,10 @@ class SeededRng:
         return lo + self.next_below(hi - lo + 1)
 
     def next_float(self) -> float:
-        """Uniform float in [0, 1)."""
-        return self.next_u64() / float(1 << 64)
+        """Uniform float in [0, 1).  The quotient rounds the top 2**10 words
+        up to 1.0; those give the largest float below 1.0 instead."""
+        x = self.next_u64() / _TWO_64
+        return x if x < 1.0 else _BELOW_ONE
 
     def derive(self, label: int) -> "SeededRng":
         """Deterministic independent substream keyed by (seed, label)."""

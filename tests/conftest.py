@@ -52,11 +52,12 @@ def proofs(lift_calls, monkeypatch):
     records = []
     settle = gin.certified_free_columns
 
-    def spy(rows, ncols, rank_bound=None):
+    def spy(profile, nrows, rows, rank_bound=None):
         before = len(lift_calls)
-        free = settle(rows, ncols, rank_bound)
+        free = settle(profile, nrows, rows, rank_bound)
         lifts = [(kind, len(targets)) for kind, targets in lift_calls[before:]]
-        records.append((len(rows), ncols, None if free is None else len(free), lifts))
+        ncols = len(profile[0]) + len(profile[1])
+        records.append((nrows, ncols, None if free is None else len(free), lifts))
         return free
 
     monkeypatch.setattr(gin, "certified_free_columns", spy)

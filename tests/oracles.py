@@ -10,7 +10,9 @@ fraction-free elimination over Q that lives here, never from the mod-p
 profile or its certificate.  The determinant oracle sums Leibniz's
 formula in Fractions.  The geometry oracles decide membership in a Newton
 polyhedron by vertex enumeration and find its facets by trying every
-candidate hyperplane.  fraction_volume_estimate draws the library's
+candidate hyperplane.  free_columns_mod_p, prove_free_columns and
+degree_e_free_columns are no oracles: they run the library's profile and
+proof on whole matrices, as test entry points.  fraction_volume_estimate draws the library's
 Monte-Carlo samples but converts each one to Fractions and asks contains,
 so it checks the sampler's integer form of each sample, not the facet test
 (which the vertex-enumeration oracle checks).
@@ -22,10 +24,10 @@ from itertools import combinations, permutations
 from typing import Sequence
 
 from starshape.gin import GIN_BOUND
-from starshape.linalg import random_invertible_matrix
+from starshape.linalg import certified_free_columns, pivot_profile_mod_p, random_invertible_matrix
 from starshape.monomial import dimension_of_degree, monomials_of_degree
 from starshape.rng import SeededRng
-from starshape.scheme import FatPointScheme
+from starshape.scheme import FatPointScheme, _condition_rows
 from starshape.shape import AxisSimplex, axis_intercept, contains
 
 
@@ -158,6 +160,26 @@ def exact_free_columns(rows, ncols):
     """Non-pivot columns of echelon_int's last-column-first scan over Q."""
     pivots, _ = echelon_int(rows, range(ncols - 1, -1, -1), ncols)
     return [j for j in range(ncols) if j not in pivots]
+
+
+def free_columns_mod_p(rows, ncols):
+    """The non-pivot columns of the library's pivot_profile_mod_p."""
+    return pivot_profile_mod_p(rows, ncols)[0]
+
+
+def prove_free_columns(rows, ncols, rank_bound=None):
+    """The library's certified_free_columns on the profile mod p of all of
+    rows."""
+    return certified_free_columns(
+        pivot_profile_mod_p(rows, ncols), len(rows), lambda: rows, rank_bound)
+
+
+def degree_e_free_columns(points, multiplicity, sub, rank_bound=None):
+    """A generator degree proved on its own condition rows: the free
+    columns over Q of the degree-e conditions at the moved points on the
+    degree-e monomials sub, from their own profile mod p.  gin reads the
+    same proof off its search degree's profile instead."""
+    return prove_free_columns(_condition_rows(points, multiplicity, sub), len(sub), rank_bound)
 
 
 def naive_condition_rows(points, num_vars, multiplicity, mons, max_degree):

@@ -22,10 +22,10 @@ from oracles import (
     naive_condition_rows,
     naive_rank_and_kernel,
     naive_rref,
+    prove_free_columns,
 )
 from starshape.cli import main as cli_main
 from starshape.gin import compute_gin, result_to_json
-from starshape.linalg import certified_free_columns
 from starshape.monomial import monomials_of_degree
 from starshape.scheme import build_star
 from starshape.shape import (
@@ -301,7 +301,7 @@ def test_c9_rank_and_nullspace_against_naive_oracle(conic_scheme):
             oracle_free = [j for j in range(ncols) if j not in scan]
             int_rows = naive_condition_rows(sch.int_points, n + 1, m, monomials_of_degree(n + 1, d), d)
             assert len(oracle_free) == ncols - oracle_rank
-            assert certified_free_columns(int_rows, ncols) == oracle_free
+            assert prove_free_columns(int_rows, ncols) == oracle_free
             assert exact_free_columns(int_rows, ncols) == oracle_free
             if d >= m:
                 dim_d = res.hf_table[d][1] if d <= res.stop_degree else ncols - res.colength

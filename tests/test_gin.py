@@ -12,9 +12,12 @@ from hypothesis import strategies as st
 
 from oracles import (
     coordinate_change_for,
+    degree_e_free_columns,
     exact_free_columns,
+    free_columns_mod_p,
     gin_degree,
     hf_symbolic,
+    prove_free_columns,
     two_step_gin_degree,
 )
 from starshape import gin, linalg, monomial
@@ -32,8 +35,6 @@ from starshape.gin import (
 from starshape.invariants import gin_seed, seeded_star
 from starshape.linalg import (
     MODULUS,
-    certified_free_columns,
-    free_columns_mod_p,
     random_invertible_matrix,
 )
 from starshape.monomial import MonomialIdeal, monomials_of_degree
@@ -79,13 +80,14 @@ def test_single_point_powers_of_maximal_ideal(monkeypatch):
     # conditions have full rank and no free column, so the candidate is
     # every degree-m monomial in x_1..x_n.
     profiles = []
-    mod_p = gin.free_columns_mod_p
+    profile_of = gin.pivot_profile_mod_p
 
     def spy(rows, ncols):
-        profiles.append((ncols, mod_p(rows, ncols)))
-        return profiles[-1][1]
+        profile = profile_of(rows, ncols)
+        profiles.append((ncols, profile[0]))
+        return profile
 
-    monkeypatch.setattr(gin, "free_columns_mod_p", spy)
+    monkeypatch.setattr(gin, "pivot_profile_mod_p", spy)
     for n, m in product(range(1, 5), range(1, 5)):
         profiles.clear()
         res = compute_gin(build_star(n, n).with_multiplicity(m), seed=5)
@@ -322,7 +324,7 @@ def test_unsaturated_input_is_rejected_loudly(monkeypatch):
 
 def test_zero_kernel_mod_p_is_settled_without_q_elimination(lift_calls):
     # A zero kernel mod p needs no certificate.
-    assert certified_free_columns([[1, 0], [3, 1]], 2) == []
+    assert prove_free_columns([[1, 0], [3, 1]], 2) == []
     assert lift_calls == []
 
 
@@ -335,11 +337,11 @@ def test_seed1_falls_back_to_q_when_p_kills_a_pivot(lift_calls):
     # instead, and column 0's certificate fails.
     rows = [[MODULUS, 0, 0], [0, 1, 1]]
     assert free_columns_mod_p(rows, 3) == [0, 1]
-    assert certified_free_columns(rows, 3) is None
+    assert prove_free_columns(rows, 3) is None
     assert exact_free_columns(rows, 3) == [1]
     more = rows + [[0, 2, 2], [0, 3, 3]]
     assert free_columns_mod_p(more, 3) == [0, 1]
-    assert certified_free_columns(more, 3) is None
+    assert prove_free_columns(more, 3) is None
     assert exact_free_columns(more, 3) == [1]
     assert lift_calls == [("rows", [0]), ("columns", [0, 1])]
 
@@ -355,8 +357,8 @@ def test_deciding_minor_divisible_by_p_takes_the_q_fallback(lift_calls):
     # change, hence new rows, can be proved.
     rows = [[1, MODULUS + 1, 1], [0, 1, 1]]
     assert free_columns_mod_p(rows, 3) == [1]
-    assert certified_free_columns(rows, 3) is None
-    assert certified_free_columns(rows, 3) is None
+    assert prove_free_columns(rows, 3) is None
+    assert prove_free_columns(rows, 3) is None
     assert exact_free_columns(rows, 3) == [0]
     assert lift_calls == [("columns", [1]), ("columns", [1])]
 
@@ -379,7 +381,7 @@ def test_tampered_lift_is_refused_and_q_decides(monkeypatch, lift_calls, solutio
     rows = [[0, 0, 1], [1, MODULUS, 0]]
     monkeypatch.setattr(linalg, "_dixon_solve", lambda square, rhs, inv_cols: [solution])
     assert free_columns_mod_p(rows, 3) == [1]
-    assert certified_free_columns(rows, 3) is None
+    assert prove_free_columns(rows, 3) is None
     assert lift_calls == [("columns", [1])]
     assert exact_free_columns(rows, 3) == [0]
 
@@ -514,6 +516,60 @@ def test_minimal_exponents_match_a_brute_force_search(case):
     assert [sum(a) for a in found] == sorted(sum(a) for a in found)
 
 
+def _proved_by_both_routes(monkeypatch, schemes):
+    """For each scheme and gin seed 0 and 1, each degree that compute_gin
+    proves from its search degree's profile, as (the free columns it
+    proves, those that degree_e_free_columns proves on the degree's own
+    rows under the same change and rank bound)."""
+    settle, run_pair = gin.certified_free_columns, gin._run_pair
+    proved = []
+
+    def run_pair_spy(*args):
+        proved.clear()
+        return run_pair(*args)
+
+    def settle_spy(*args):
+        proved.append(settle(*args))
+        return proved[-1]
+
+    monkeypatch.setattr(gin, "_run_pair", run_pair_spy)
+    monkeypatch.setattr(gin, "certified_free_columns", settle_spy)
+    pairs = []
+    for sch, seed in product(schemes, (0, 1)):
+        res = compute_gin(sch, seed=seed)
+        z1 = [[sum(map(mul, row, p)) for row in coordinate_change_for(res)] for p in sch.int_points]
+        products = (gin._StarProducts(sch, SeededRng(res.seeds_used[0]).derive(1))
+                    if sch.hyperplanes else None)
+        gens = res.min_generators.generators
+        for e, block_free in zip(sorted({sum(g) for g in gens}), proved):
+            mons = monomials_of_degree(sch.dim + 1, e)
+            sub = [u for u in mons if not any(monomial.divides(g, u) for g in gens if sum(g) < e)]
+            dim_j = len(mons) - len(sub) + sum(sum(g) == e for g in gens)
+            bound = None if products is None else lambda: len(mons) - products.rank(e, dim_j)
+            pairs.append((block_free, degree_e_free_columns(z1, sch.multiplicity, sub, bound)))
+    return pairs
+
+
+@pytest.mark.parametrize("mode", ["vandermonde", "seeded"])
+@pytest.mark.parametrize("n, s, m_max", [(2, 3, 4), (2, 4, 6), (2, 5, 6), (3, 4, 4), (3, 5, 4),
+                                         (4, 5, 4), (3, 6, 3)])
+def test_degree_rows_prove_what_the_search_profile_proves(monkeypatch, n, s, m_max, mode):
+    # The proof of a generator degree e reads the profile of its block,
+    # the degree-e monomials times x_k^(D-e), off the search's profile at
+    # D.  Proved instead on the degree's own condition rows, as it once
+    # was, every degree gets the same free columns.
+    star = build_star(n, s, mode, seed=3)
+    pairs = _proved_by_both_routes(
+        monkeypatch, [star.with_multiplicity(m) for m in range(1, m_max + 1)])
+    assert pairs and all(block == own for block, own in pairs)
+
+
+def test_conic_degree_rows_prove_what_the_search_profile_proves(monkeypatch, conic_scheme):
+    pairs = _proved_by_both_routes(
+        monkeypatch, [conic_scheme.with_multiplicity(m) for m in range(1, 7)])
+    assert pairs and all(block == own for block, own in pairs)
+
+
 def test_generator_degrees_are_certified_without_q_elimination():
     # Every degree of the certified result, not only the proved ones, is
     # the slice an exact elimination over Q finds.
@@ -529,7 +585,9 @@ def test_proofs_run_only_in_the_generator_degrees(monkeypatch):
     # star(2,4) m=3 has length 36 and generators in degrees 7 and 9.  The
     # search starts at 8, one below the top degree of the minimal products
     # of its lines, and the rank is 36 there: D = 8.  The witness profiles
-    # 8, and only 7 is proved, since 9 = D+1 needs no proof.
+    # 8, and only 7 is proved, since 9 = D+1 needs no proof.  Degree 7 is
+    # proved from degree 8's profile, and its products lift nothing, so no
+    # rows are built for it.
     rows_at, proved_at = [], []
     rows_of, settle = gin._condition_rows, gin.certified_free_columns
 
@@ -537,16 +595,19 @@ def test_proofs_run_only_in_the_generator_degrees(monkeypatch):
         rows_at.append(sum(mons[0]))
         return rows_of(points, m, mons)
 
-    def settle_spy(*args):
-        proved_at.append(rows_at[-1])
-        return settle(*args)
+    def settle_spy(profile, nrows, rows, rank_bound):
+        # No generator lies below degree 7, so its columns are all of its
+        # monomials.
+        ncols = len(profile[0]) + len(profile[1])
+        proved_at.append(next(e for e in range(20) if comb(e + 2, 2) == ncols))
+        return settle(profile, nrows, rows, rank_bound)
 
     monkeypatch.setattr(gin, "_condition_rows", rows_spy)
     monkeypatch.setattr(gin, "certified_free_columns", settle_spy)
     sch = build_star(2, 4).with_multiplicity(3)
     res = compute_gin(sch, seed=2)
     assert sorted({sum(g) for g in res.min_generators.generators}) == [7, 9]
-    assert rows_at == [8, 8, 7]
+    assert rows_at == [8, 8]
     assert proved_at == [7]
     assert min(rows_at) >= sch.multiplicity - 1
 
@@ -614,9 +675,9 @@ def test_failed_certificate_redraws(monkeypatch):
     clean = compute_gin(sch, seed=2)
     certify, calls = gin.certified_free_columns, []
 
-    def fails_once(rows, ncols, rank_bound):
-        calls.append(ncols)
-        return None if len(calls) == 1 else certify(rows, ncols, rank_bound)
+    def fails_once(profile, nrows, rows, rank_bound):
+        calls.append(nrows)
+        return None if len(calls) == 1 else certify(profile, nrows, rows, rank_bound)
 
     monkeypatch.setattr(gin, "certified_free_columns", fails_once)
     res = compute_gin(sch, seed=2)
@@ -625,7 +686,8 @@ def test_failed_certificate_redraws(monkeypatch):
 
 
 def test_certificate_failing_every_draw_is_reported(monkeypatch):
-    monkeypatch.setattr(gin, "certified_free_columns", lambda rows, ncols, rank_bound: None)
+    monkeypatch.setattr(gin, "certified_free_columns",
+                        lambda profile, nrows, rows, rank_bound: None)
     with pytest.raises(GenericityError) as info:
         compute_gin(build_star(2, 4).with_multiplicity(3), seed=2)
     assert str(info.value).count("fail the proof over Q") == 3
@@ -633,30 +695,43 @@ def test_certificate_failing_every_draw_is_reported(monkeypatch):
 
 def test_candidate_missing_a_generator_fails_the_proof(monkeypatch):
     # star(2,3) m=2 reaches its length 9 at D = 3, where the one free
-    # column is x1^3, column 0.  Both profiles make it a pivot and free
-    # x1^2 x2 instead, as a prime dividing a deciding minor could: the rank
-    # and the witness agree, but the candidate lacks the generator x1^3,
-    # and the proof over Q in degree 3 refuses it.
+    # column is x1^3, column 0: the minor on columns 1-9 decides it.  Each
+    # degree-3 row set here gets its column 1 shifted in one row so that p
+    # divides that minor, which stays nonzero over Q.  Mod p the rank is
+    # still 9 and both changes free x1^2 x2 instead, so the witness agrees,
+    # but the candidate lacks the generator x1^3.  Over Q column 0 is still
+    # the free one, and the proof in degree 3 refuses the candidate.
     sch = build_star(2, 3).with_multiplicity(2)
     clean = compute_gin(sch, seed=1)
-    mod_p = gin.free_columns_mod_p
+    rows_of = gin._condition_rows
 
-    def moved_generator(rows, ncols):
-        free = mod_p(rows, ncols)
-        return [1] if free == [0] else free
+    def p_divides_the_deciding_minor(points, m, mons):
+        rows = rows_of(points, m, mons)
+        if len(mons) != 10:
+            return rows
+        minor = linalg.determinant([row[1:] for row in rows])
+        # Shifting rows[i][1] by t shifts the minor by t times a cofactor.
+        cofactors = [(-1) ** i * linalg.determinant([row[2:] for row in rows[:i] + rows[i + 1:]])
+                     for i in range(9)]
+        i = next(i for i, c in enumerate(cofactors) if c % MODULUS)
+        rows[i][1] -= minor * pow(cofactors[i], -1, MODULUS) % MODULUS
+        assert linalg.determinant([row[1:] for row in rows]) % MODULUS == 0
+        assert free_columns_mod_p(rows, 10) == [1] and exact_free_columns(rows, 10) == [0]
+        return rows
 
-    monkeypatch.setattr(gin, "free_columns_mod_p", moved_generator)
+    monkeypatch.setattr(gin, "_condition_rows", p_divides_the_deciding_minor)
     g1, g2 = coordinate_change_for(clean, 0), coordinate_change_for(clean, 1)
     with pytest.raises(GenericityError, match="degree-3 generators fail the proof"):
         gin._run_pair(sch, g1, g2, clean.seeds_used)
-    with pytest.raises(GenericityError, match="after 3 attempts"):
+    with pytest.raises(GenericityError, match="after 3 attempts") as info:
         compute_gin(sch, seed=1)
+    assert str(info.value).count("degree-3 generators fail the proof") == 3
 
 
 def test_witness_mismatch_raises_and_compute_gin_redraws(monkeypatch):
     sch = build_star(2, 3).with_multiplicity(2)
     clean = compute_gin(sch, seed=1)
-    mod_p, run_pair = gin.free_columns_mod_p, gin._run_pair
+    profile_of, run_pair = gin.pivot_profile_mod_p, gin._run_pair
     profiles, pairs = [], []
 
     def phantom_witness_column(rows, ncols):
@@ -664,15 +739,15 @@ def test_witness_mismatch_raises_and_compute_gin_redraws(monkeypatch):
         # the g1 search, then the g2 witness.  Until a second pair is
         # drawn, the witness gains a phantom free column.
         profiles.append(ncols)
-        free = mod_p(rows, ncols)
+        free, pivots, pivot_rows = profile_of(rows, ncols)
         witness = len(profiles) % 2 == 0
-        return free + [ncols] if witness and len(pairs) <= 1 else free
+        return free + [ncols] if witness and len(pairs) <= 1 else free, pivots, pivot_rows
 
     def counting_run_pair(*args):
         pairs.append(args[3])
         return run_pair(*args)
 
-    monkeypatch.setattr(gin, "free_columns_mod_p", phantom_witness_column)
+    monkeypatch.setattr(gin, "pivot_profile_mod_p", phantom_witness_column)
     g1, g2 = coordinate_change_for(clean, 0), coordinate_change_for(clean, 1)
     with pytest.raises(GenericityError, match="disagree in degree 3"):
         gin._run_pair(sch, g1, g2, clean.seeds_used)
@@ -876,7 +951,7 @@ def test_cache_entry_that_cannot_be_read_or_written(tmp_path):
 def test_search_that_never_reaches_the_length_is_reported(monkeypatch):
     # Every column free mod p: the rank stays 0, below the length, in every
     # degree up to the cap, under every seed pair.
-    monkeypatch.setattr(gin, "free_columns_mod_p", lambda rows, ncols: list(range(ncols)))
+    monkeypatch.setattr(gin, "pivot_profile_mod_p", lambda rows, ncols: (list(range(ncols)), [], []))
     with pytest.raises(GenericityError) as info:
         compute_gin(build_star(2, 3), seed=2)
     assert str(info.value).count("failed to stabilize by degree 10") == 3

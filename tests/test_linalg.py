@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 from oracles import (
     echelon_int,
     exact_free_columns,
+    free_columns_mod_p,
     leibniz_determinant,
     naive_rank_and_kernel,
     naive_rref,
+    prove_free_columns,
 )
 from starshape import linalg
 from starshape.gin import compute_gin
@@ -18,13 +20,13 @@ from starshape.linalg import (
     _pack,
     _slot_bytes,
     _unpack,
-    certified_free_columns,
     clear_denominators,
     determinant,
     format_rational,
-    free_columns_mod_p,
     parse_rational,
+    pivot_profile_mod_p,
     random_invertible_matrix,
+    restricted_profile,
 )
 from starshape.rng import SeededRng
 from starshape.scheme import FatPointScheme, build_star
@@ -150,6 +152,25 @@ def test_mod_p_rank_never_exceeds_exact_rank(matrix):
     assert len(free_p) >= len(exact_free_columns(rows, ncols))
 
 
+@settings(max_examples=200)
+@given(int_matrices(near_multiples_of_p), st.data())
+def test_profile_of_a_first_scanned_block_is_read_off_the_whole_scan(matrix, data):
+    # The scan meets the columns from `start` on first.  That block, less
+    # any of its free columns, has the profile the whole one restricts to;
+    # less one of its pivots, it has none to read off.
+    rows, ncols = matrix
+    profile = pivot_profile_mod_p(rows, ncols)
+    start = data.draw(st.integers(0, ncols - 1))
+    drop = data.draw(st.sets(st.sampled_from(range(ncols))))
+    cols = [c for c in range(start, ncols) if c not in drop or c not in profile[0]]
+    sub = [[row[c] for c in cols] for row in rows]
+    assert restricted_profile(profile, start, cols) == pivot_profile_mod_p(sub, len(cols))
+    block_pivots = [c for c in profile[1] if c >= start]
+    if block_pivots:
+        c = data.draw(st.sampled_from(block_pivots))
+        assert restricted_profile(profile, start, [x for x in cols if x != c]) is None
+
+
 @st.composite
 def low_rank_matrices(draw):
     # U (rows x k) times V (k x cols), entries in [-2, 2], k <= 3: entries
@@ -170,7 +191,7 @@ def low_rank_matrices(draw):
 @given(int_matrices(st.integers(-8, 8)) | low_rank_matrices())
 def test_certificate_proves_the_exact_profile(matrix):
     rows, ncols = matrix
-    assert certified_free_columns(rows, ncols) == exact_free_columns(rows, ncols)
+    assert prove_free_columns(rows, ncols) == exact_free_columns(rows, ncols)
 
 
 @pytest.mark.parametrize(
@@ -187,7 +208,7 @@ def test_certificate_proves_the_exact_profile(matrix):
 def test_full_row_rank_with_free_columns_last_needs_no_lift(lift_calls, rows, ncols):
     # No non-pivot row and no free column between pivots: the dual
     # certificate needs zero vectors.
-    assert certified_free_columns(rows, ncols) == exact_free_columns(rows, ncols)
+    assert prove_free_columns(rows, ncols) == exact_free_columns(rows, ncols)
     assert lift_calls == []
 
 
@@ -236,7 +257,7 @@ def planted_profiles(draw, kind):
 def test_dual_and_column_certificates_prove_planted_profiles(kind, data):
     rows, ncols, free = data.draw(planted_profiles(kind))
     assert exact_free_columns(rows, ncols) == free
-    assert certified_free_columns(rows, ncols) == free
+    assert prove_free_columns(rows, ncols) == free
 
 
 @settings(max_examples=200)
@@ -250,7 +271,7 @@ def test_planted_profile_shifted_by_multiples_of_p_is_exact_or_refused(planted, 
     shift = iter(shifts)
     rows = [[v + next(shift) * MODULUS for v in row] for row in rows]
     assert free_columns_mod_p(rows, ncols) == free
-    assert certified_free_columns(rows, ncols) in (None, exact_free_columns(rows, ncols))
+    assert prove_free_columns(rows, ncols) in (None, exact_free_columns(rows, ncols))
 
 
 @pytest.mark.parametrize(
@@ -271,7 +292,7 @@ def test_tampered_dual_certificate_is_refused(monkeypatch, lift_calls, solutions
     rows = [[0, 0, 1], [MODULUS, MODULUS, 0], [MODULUS, MODULUS, 0]]
     monkeypatch.setattr(linalg, "_dixon_solve", lambda square, rhs, inv_cols: solutions)
     assert free_columns_mod_p(rows, 3) == [0, 1]
-    assert certified_free_columns(rows, 3) is None
+    assert prove_free_columns(rows, 3) is None
     assert lift_calls == [("rows", [1, 2])]
     assert exact_free_columns(rows, 3) == [0]
 
@@ -301,11 +322,11 @@ def test_rank_bound_decides_whether_dual_vectors_are_lifted(lift_calls):
     # proves nothing, so the dual certificate of row 1 is lifted as
     # without one; a bound of 0 contradicts the rank mod p.
     rows = [[1, 2], [2, 4]]
-    assert certified_free_columns(rows, 2, lambda: 1) == [0]
+    assert prove_free_columns(rows, 2, lambda: 1) == [0]
     assert lift_calls == []
-    assert certified_free_columns(rows, 2, lambda: 2) == [0]
+    assert prove_free_columns(rows, 2, lambda: 2) == [0]
     assert lift_calls == [("rows", [1])]
-    assert certified_free_columns(rows, 2, lambda: 0) is None
+    assert prove_free_columns(rows, 2, lambda: 0) is None
     assert lift_calls == [("rows", [1])]
 
 
@@ -317,7 +338,7 @@ def test_certificate_with_a_rank_bound_is_exact_or_refused(matrix, shift):
     # (A bound below the rank over Q is a false premise, not a proof.)
     rows, ncols = matrix
     exact = exact_free_columns(rows, ncols)
-    got = certified_free_columns(rows, ncols, lambda: ncols - len(exact) + shift)
+    got = prove_free_columns(rows, ncols, lambda: ncols - len(exact) + shift)
     assert got in (None, exact)
 
 
@@ -327,7 +348,7 @@ def test_certificate_is_exact_or_refused(matrix):
     # Here p divides many entries and minors: the mod-p profile is often
     # wrong, and then the certificate must fail rather than confirm it.
     rows, ncols = matrix
-    assert certified_free_columns(rows, ncols) in (None, exact_free_columns(rows, ncols))
+    assert prove_free_columns(rows, ncols) in (None, exact_free_columns(rows, ncols))
 
 
 @settings(max_examples=200)
@@ -393,7 +414,7 @@ def test_wide_profile_takes_the_byte_loop_and_matches_exact(spare_row):
     rows[0][-1] = rows[1][-1] = rows[2][-1] = 0  # the last column is free
     exact = exact_free_columns(rows, ncols)
     assert free_columns_mod_p(rows, ncols) == exact
-    assert certified_free_columns(rows, ncols) == exact
+    assert prove_free_columns(rows, ncols) == exact
 
 
 def test_mixed_degree_inverts_its_square_system_once(monkeypatch, lift_calls):
@@ -412,7 +433,7 @@ def test_mixed_degree_inverts_its_square_system_once(monkeypatch, lift_calls):
         return invert(mat)
 
     monkeypatch.setattr(linalg, "_inverse_columns_mod_p", spy)
-    assert certified_free_columns(rows, 4) == exact_free_columns(rows, 4) == [0, 2]
+    assert prove_free_columns(rows, 4) == exact_free_columns(rows, 4) == [0, 2]
     assert lift_calls == [("columns", [2]), ("rows", [2])]
     assert inverses == [[[1, 1], [0, 1]]]
 
@@ -423,7 +444,7 @@ def test_lifting_that_never_reconstructs_gives_no_certificate(monkeypatch):
     # _dixon_solve runs to its step cap and returns None, so nothing is
     # proved.
     rows = [[1, 2], [2, 4]]
-    assert certified_free_columns(rows, 2) == [0]
+    assert prove_free_columns(rows, 2) == [0]
     tries, solved = [], []
     solve = linalg._dixon_solve
 
@@ -436,5 +457,5 @@ def test_lifting_that_never_reconstructs_gives_no_certificate(monkeypatch):
 
     monkeypatch.setattr(linalg, "_reconstruct", never)
     monkeypatch.setattr(linalg, "_dixon_solve", spy)
-    assert certified_free_columns(rows, 2) is None
+    assert prove_free_columns(rows, 2) is None
     assert solved == [None] and len(tries) > 1

@@ -211,3 +211,13 @@ def test_generator_degrees_need_borel_fixedness():
 def test_monomial_functions_reject_bad_arguments(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@given(st.integers(1, 4), st.integers(0, 6), st.integers(0, 4))
+def test_last_monomials_of_a_degree_are_a_lower_degree_times_a_last_variable_power(k, e, extra):
+    # gin reads the profile of degree e off that of degree e + extra: the
+    # last columns there are x_k^extra times the degree-e monomials, in
+    # the same order.
+    lower = monomials_of_degree(k, e)
+    higher = monomials_of_degree(k, e + extra)
+    assert higher[len(higher) - len(lower):] == tuple(u[:-1] + (u[-1] + extra,) for u in lower)

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -60,3 +62,19 @@ def test_derive_gives_independent_deterministic_substreams():
 def test_draws_reject_empty_ranges(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize("word", [2**64 - 2**10, 2**64 - 1], ids=["least-top", "max"])
+def test_next_float_of_the_top_words_stays_below_one(monkeypatch, word):
+    # The quotient by 2**64 rounds the top 2**10 words up to 1.0, and a
+    # volume sample takes log(1 - u): they give the largest float below 1.
+    monkeypatch.setattr(SeededRng, "next_u64", lambda self: word)
+    u = SeededRng(0).next_float()
+    assert u == math.nextafter(1.0, 0.0)
+    assert math.isfinite(math.log(1.0 - u))
+
+
+@pytest.mark.parametrize("word", [0, 1, 2**63 + 1, 2**64 - 2**10 - 1])
+def test_next_float_below_the_top_words_is_the_rounded_quotient(monkeypatch, word):
+    monkeypatch.setattr(SeededRng, "next_u64", lambda self: word)
+    assert SeededRng(0).next_float() == word / 2**64 < 1.0
